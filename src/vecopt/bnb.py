@@ -17,8 +17,8 @@ import numpy as np
 from .milp import (
     MilpProblem,
     build_milp,
-    check_assignment,
     clean_assignment,
+    cleanup_arrays,
     extract_placement,
     interchange_classes,
 )
@@ -103,28 +103,8 @@ class _RowChecker:
         return True
 
 
-def _round_to_assignment(
-    problem: MilpProblem,
-    values: np.ndarray,
-    checker: _RowChecker,
-) -> np.ndarray | None:
-    """Turn LP values into a feasible integral vector, or None.
-
-    Serving sets are read off the positive x entries; activations follow
-    from serving sets, routes, and demand sources.
-    """
-    D, N = problem.n_demands, problem.n_nodes
-    v = np.zeros(len(problem.variables))
-    nx = D * N
-    v[:nx] = values[:nx]
-    v = clean_assignment(problem, v)
-    if not checker.feasible(v):
-        return None
-    return v
-
-
-def _key_of(problem: MilpProblem, v: np.ndarray, binaries: np.ndarray) -> tuple:
-    return tuple(int(round(v[j])) for j in binaries)
+def _key_of(v: np.ndarray, binaries: np.ndarray) -> list[int]:
+    return np.rint(v[binaries]).astype(np.int64).tolist()
 
 
 def branch_and_bound(
@@ -172,6 +152,7 @@ def branch_and_bound(
 
     binaries = problem.binary_indices()
     checker = _RowChecker(problem)
+    cleanup = cleanup_arrays(problem)
     cvec = problem.objective_vector()
 
     D, N = problem.n_demands, problem.n_nodes
@@ -208,13 +189,13 @@ def branch_and_bound(
 
     inc_vec: np.ndarray | None = None
     inc_obj = np.inf
-    inc_key: tuple = ()
+    inc_key: list[int] = []
     if options.initial_assignment is not None:
         cand = np.asarray(options.initial_assignment, dtype=float)
         if checker.feasible(cand):
             inc_vec = cand
             inc_obj = float(cvec @ cand)
-            inc_key = _key_of(problem, cand, binaries)
+            inc_key = _key_of(cand, binaries)
 
     gap = options.absolute_gap
 
@@ -222,25 +203,26 @@ def branch_and_bound(
         nonlocal inc_vec, inc_obj, inc_key
         obj = float(cvec @ vec)
         if inc_vec is None or obj < inc_obj - 1e-9:
-            inc_vec, inc_obj, inc_key = vec, obj, _key_of(problem, vec, binaries)
+            inc_vec, inc_obj, inc_key = vec, obj, _key_of(vec, binaries)
         elif obj <= inc_obj + 1e-9:
-            key = _key_of(problem, vec, binaries)
+            key = _key_of(vec, binaries)
             if key < inc_key:
                 inc_vec, inc_obj, inc_key = vec, obj, key
 
     def process(values: np.ndarray) -> list[int] | None:
-        """Returns fractional binary candidates, or None if integral."""
+        """Returns fractional binary candidates, or None if integral.
+
+        Any relaxation, integral or not, is cleaned into a placement read
+        off its positive x entries and offered as an incumbent.
+        """
+        cleaned = clean_assignment(problem, values, cleanup)
+        if checker.feasible(cleaned):
+            consider(cleaned)
         bin_vals = values[binaries]
         frac = np.abs(bin_vals - np.round(bin_vals))
         cand = np.nonzero(frac > _INTEGRALITY_TOL)[0]
         if cand.size == 0:
-            cleaned = clean_assignment(problem, values)
-            if checker.feasible(cleaned):
-                consider(cleaned)
             return None
-        rounded = _round_to_assignment(problem, values, checker)
-        if rounded is not None:
-            consider(rounded)
         return [int(binaries[k]) for k in cand]
 
     heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []

@@ -486,39 +486,63 @@ def assignment_from_placement(
     return v
 
 
-def clean_assignment(problem: MilpProblem, values: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class CleanupArrays:
+    """What ``clean_assignment`` reads from a model, gathered once."""
+
+    workload: np.ndarray  # (D,) MIPS of each demand
+    floor: np.ndarray  # (D,) assignment crumbs below this are noise
+    sources: np.ndarray  # (N,) bool, node is some demand's source
+    relays: np.ndarray  # (D, N, N) bool, [d, n, m]: m relays d's route to n
+
+
+def cleanup_arrays(problem: MilpProblem) -> CleanupArrays:
+    """Demand workloads, sources and route relays as arrays."""
+    scenario = problem.scenario
+    D, N = problem.n_demands, problem.n_nodes
+    node_pos = {node_id: n for n, node_id in enumerate(problem.node_ids)}
+    workload = np.array([dm.workload_mips for dm in scenario.demands])
+    sources = np.zeros(N, dtype=bool)
+    relays = np.zeros((D, N, N), dtype=bool)
+    for d, demand in enumerate(scenario.demands):
+        sources[node_pos[demand.source]] = True
+        for n, node_id in enumerate(problem.node_ids):
+            for relay in scenario.path_intermediates(demand.source, node_id):
+                relays[d, n, node_pos[relay]] = True
+    return CleanupArrays(
+        workload=workload,
+        floor=1e-7 * workload,
+        sources=sources,
+        relays=relays,
+    )
+
+
+def clean_assignment(
+    problem: MilpProblem,
+    values: np.ndarray,
+    arrays: CleanupArrays | None = None,
+) -> np.ndarray:
     """Strip solver noise from an integral assignment.
 
     Zeroes assignment crumbs below a relative threshold, rescales each
     demand's remaining shares so conservation holds exactly, and rederives
-    y and a from the cleaned x plus route requirements.
+    y and a from the cleaned x plus route requirements.  Callers that
+    clean many vectors of one model pass ``cleanup_arrays(problem)``.
     """
+    if arrays is None:
+        arrays = cleanup_arrays(problem)
     v = np.array(values, dtype=float)
     D, N = problem.n_demands, problem.n_nodes
-    scenario = problem.scenario
-    node_pos = {node_id: n for n, node_id in enumerate(problem.node_ids)}
-    active: set[int] = set()
-    for d in range(D):
-        demand = scenario.demands[d]
-        idx = [problem.x_index(d, n) for n in range(N)]
-        xs = v[idx]
-        xs[xs < 1e-7 * demand.workload_mips] = 0.0
-        total = xs.sum()
-        if total > 0:
-            xs *= demand.workload_mips / total
-        v[idx] = xs
-        active.add(node_pos[demand.source])
-        for n in range(N):
-            serving = xs[n] > 0
-            v[problem.y_index(d, n)] = 1.0 if serving else 0.0
-            if serving:
-                active.add(n)
-                for relay in scenario.path_intermediates(
-                    demand.source, problem.node_ids[n]
-                ):
-                    active.add(node_pos[relay])
-    for n in range(N):
-        v[problem.a_index(n)] = 1.0 if n in active else 0.0
+    DN = D * N
+    x = v[:DN].reshape(D, N)  # a view: edits land in v
+    x[x < arrays.floor[:, None]] = 0.0
+    total = x.sum(axis=1)
+    pos = total > 0
+    x[pos] *= (arrays.workload[pos] / total[pos])[:, None]
+    serving = x > 0
+    v[DN : 2 * DN] = serving.ravel()
+    relayed = arrays.relays[serving].any(axis=0)
+    v[2 * DN : 2 * DN + N] = arrays.sources | serving.any(axis=0) | relayed
     return v
 
 

@@ -14,7 +14,7 @@ import math
 from pathlib import Path as FsPath
 from typing import Mapping
 
-from .power import derive_power_params, traffic_for_workload
+from .power import DerivationError, derive_power_params, traffic_for_workload
 from .types import (
     DemandSpec,
     IFACE_CORE,
@@ -301,20 +301,73 @@ def build_reference_scenario(
 # -- validation --------------------------------------------------------
 
 
+_NODE_NUMBERS = (
+    "max_power_w",
+    "idle_power_w",
+    "processing_fraction",
+    "communication_fraction",
+    "capacity_mips",
+)
+_LINK_NUMBERS = ("capacity_bps", "energy_per_bit")
+_DEMAND_NUMBERS = ("workload_mips", "traffic_bps")
+
+
+def _finite(value) -> bool:
+    """A real number other than a bool, and neither infinite nor NaN."""
+    try:
+        return math.isfinite(value) and not isinstance(value, bool)
+    except TypeError:  # str, None, containers
+        return False
+
+
+def _number_problems(label: str, obj, names: tuple[str, ...]) -> list[str]:
+    """One message per named attribute that is not a finite number."""
+    return [
+        f"{label}: {name} must be a finite number, not {getattr(obj, name)!r}"
+        for name in names
+        if not _finite(getattr(obj, name))
+    ]
+
+
+def _node_number_problems(node: NodeSpec) -> list[str]:
+    out = _number_problems(f"node {node.id}", node, _NODE_NUMBERS)
+    for iface in node.interfaces:
+        out += _number_problems(
+            f"node {node.id}: interface {iface.kind}", iface, ("capacity_bps",)
+        )
+    return out
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All invariant violations in the scenario, as entity-naming strings.
 
     An empty list means the scenario is valid.  Violations are data, not
-    exceptions, so loaders and tests can inspect them.
+    exceptions, so loaders and tests can inspect them.  A number of the
+    wrong type or that is not finite is reported, and the range checks
+    that would read it are skipped.
     """
     out: list[str] = []
     seen_nodes: set[str] = set()
+    unreadable: set[str] = set()  # nodes with a number that is not finite
     for node in scenario.nodes:
         if node.id in seen_nodes:
             out.append(f"node {node.id}: duplicate id")
         seen_nodes.add(node.id)
         if node.tier not in TIERS:
             out.append(f"node {node.id}: unknown tier {node.tier!r}")
+        kinds = [i.kind for i in node.interfaces]
+        if len(kinds) != len(set(kinds)):
+            out.append(f"node {node.id}: duplicate interface kind")
+        for iface in node.interfaces:
+            if iface.kind not in IFACE_KINDS:
+                out.append(
+                    f"node {node.id}: unknown interface kind {iface.kind!r}"
+                )
+        bad = _node_number_problems(node)
+        if bad:
+            out += bad
+            unreadable.add(node.id)
+            continue
         if node.idle_power_w < 0:
             out.append(f"node {node.id}: negative idle power")
         if node.max_power_w < node.idle_power_w:
@@ -333,14 +386,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out.append(f"node {node.id}: power fractions sum beyond 1")
         if node.capacity_mips <= 0:
             out.append(f"node {node.id}: capacity must be positive")
-        kinds = [i.kind for i in node.interfaces]
-        if len(kinds) != len(set(kinds)):
-            out.append(f"node {node.id}: duplicate interface kind")
         for iface in node.interfaces:
-            if iface.kind not in IFACE_KINDS:
-                out.append(
-                    f"node {node.id}: unknown interface kind {iface.kind!r}"
-                )
             if iface.capacity_bps <= 0:
                 out.append(
                     f"node {node.id}: interface {iface.kind} capacity "
@@ -358,7 +404,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out.append(f"link {link.id}: head equals tail")
         if link.kind not in IFACE_KINDS:
             out.append(f"link {link.id}: unknown kind {link.kind!r}")
-        if link.energy_per_bit < 0:
+        bad = _number_problems(f"link {link.id}", link, _LINK_NUMBERS)
+        out += bad
+        if not bad and link.energy_per_bit < 0:
             out.append(f"link {link.id}: negative energy per bit")
         head = node_map.get(link.head)
         tail = node_map.get(link.tail)
@@ -373,7 +421,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out.append(
                 f"link {link.id}: endpoint lacks a {link.kind} interface"
             )
-        else:
+        elif not (bad or link.head in unreadable or link.tail in unreadable):
             expected = min(ihead.capacity_bps, itail.capacity_bps)
             if abs(link.capacity_bps - expected) > 1e-6 * max(1.0, expected):
                 out.append(
@@ -388,6 +436,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         seen_demands.add(demand.id)
         if demand.source not in node_map:
             out.append(f"demand {demand.id}: unknown source {demand.source!r}")
+        bad = _number_problems(f"demand {demand.id}", demand, _DEMAND_NUMBERS)
+        out += bad
+        if bad:
+            continue
         if demand.workload_mips <= 0:
             out.append(f"demand {demand.id}: workload must be positive")
         if demand.traffic_bps < 0:
@@ -568,7 +620,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioError(f"link {name}: malformed ({exc})") from None
         links = tuple(links)
     else:
-        links = wire_links(nodes, options)
+        # Wiring prices links from the node numbers, so they go first.
+        problems = [p for node in nodes for p in _node_number_problems(node)]
+        if problems:
+            raise ScenarioError("; ".join(problems))
+        try:
+            links = wire_links(nodes, options)
+        except DerivationError as exc:
+            raise ScenarioError(str(exc)) from None
 
     demands = []
     for i, raw in enumerate(doc.get("demands", [])):
@@ -586,7 +645,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     traffic_bps=traffic,
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             name = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
             raise ScenarioError(f"demand {name}: malformed ({exc})") from None
     demands = tuple(demands)

@@ -197,6 +197,7 @@ class LpWorkspace:
         )
         self.iterations = 0
         self._branch: dict[int, tuple[float, float]] = {}
+        self._conflict = False  # the last set_branch emptied a bound
         self._basis_ready = False
         self._binv: np.ndarray | None = None  # untransposed copy of Bt
 
@@ -226,6 +227,17 @@ class LpWorkspace:
         v = np.where(self.stat == AT_UB, self.ub, self.lb)
         v[self.stat == BASIC] = 0.0
         return v
+
+    def _directions(self) -> np.ndarray:
+        """+1 at a lower bound, -1 at an upper bound, 0 basic or fixed.
+
+        A nonbasic column may move in its direction only, so the pricing
+        and ratio tests compare ``dirv * d`` or ``dirv * arow`` against one
+        threshold in place of a mask per status (negation is exact).
+        """
+        return np.where(
+            self.stat == AT_LB, 1.0, np.where(self.stat == AT_UB, -1.0, 0.0)
+        )
 
     # -- basis management --------------------------------------------------
 
@@ -319,15 +331,14 @@ class LpWorkspace:
     def _primal(self, c: np.ndarray) -> str:
         m = self.m
         d = self._reduced_costs(c)
+        dirv = self._directions()
         bland = False
         stall = 0
         since_refactor = 0
         confirmed = False
         deadline = self.iterations + _ITER_LIMIT
         while True:
-            can_enter = ((self.stat == AT_LB) & (d < -_DUAL_TOL)) | (
-                (self.stat == AT_UB) & (d > _DUAL_TOL)
-            )
+            can_enter = dirv * d < -_DUAL_TOL
             if not can_enter.any():
                 if confirmed or m == 0:
                     return STATUS_OPTIMAL
@@ -340,7 +351,7 @@ class LpWorkspace:
                 q = int(np.argmax(can_enter))
             else:
                 q = int(np.argmax(np.where(can_enter, np.abs(d), -1.0)))
-            sigma = 1.0 if self.stat[q] == AT_LB else -1.0
+            sigma = float(dirv[q])
 
             ridx, vals = self._column(q)
             alpha = self.Bt[ridx].T @ vals if m else np.zeros(0)
@@ -375,6 +386,7 @@ class LpWorkspace:
                 if m:
                     self.beta -= t_limit * abar
                 self.stat[q] = AT_UB if self.stat[q] == AT_LB else AT_LB
+                dirv[q] = -sigma
             else:
                 ties = np.nonzero(t <= t_min + 1e-9)[0]
                 if bland:
@@ -392,21 +404,27 @@ class LpWorkspace:
                     self.lb[q] if sigma > 0 else self.ub[q]
                 ) + sigma * t_min
                 self.beta -= t_min * abar
-                if self.lb[leaving] == self.ub[leaving]:
-                    self.stat[leaving] = FIXED
-                else:
-                    self.stat[leaving] = AT_LB if abar[r] > 0 else AT_UB
+                dirv[leaving] = self._leave(leaving, to_ub=not abar[r] > 0)
                 self.basis[r] = q
                 self.stat[q] = BASIC
+                dirv[q] = 0.0
                 self.beta[r] = enter_val
                 theta = d[q] / alpha[r]
-                d = d - theta * arow
+                d -= theta * arow
                 d[q] = 0.0
                 self._update_binv(alpha, r)
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 d = self._reduced_costs(c)
                 since_refactor = 0
+
+    def _leave(self, j: int, to_ub: bool) -> float:
+        """Make basic column j nonbasic at a bound; returns its direction."""
+        if self.lb[j] == self.ub[j]:
+            self.stat[j] = FIXED
+            return 0.0
+        self.stat[j] = AT_UB if to_ub else AT_LB
+        return -1.0 if to_ub else 1.0
 
     # -- dual simplex --------------------------------------------------------
 
@@ -421,8 +439,13 @@ class LpWorkspace:
         confirmed = False
         retried = False
         deadline = self.iterations + _ITER_LIMIT
-        # Feasibility tolerance of each column, scaled by its finite
-        # bounds; the bounds stay put while the dual pivots.
+        # Per-pivot state, built once and kept up to date at each pivot
+        # (bounds stay put while the dual pivots): the directions, the
+        # nonbasic values (stale at basic positions, which the objective
+        # overwrites with beta), and the bounds and feasibility tolerance
+        # of each basic position.  The tolerance scales with finite bounds.
+        dirv = self._directions()
+        xnb = self._nonbasic_values()
         col_tol = _PRIMAL_TOL * np.maximum(
             1.0,
             np.maximum(
@@ -430,8 +453,17 @@ class LpWorkspace:
                 np.where(np.isfinite(self.ub), np.abs(self.ub), 0.0),
             ),
         )
+        lb_b = self.lb[self.basis]
+        ub_b = self.ub[self.basis]
+        tol = col_tol[self.basis]
+
+        def objective() -> float:
+            # The vector and the dot product of ``objective()``: a running
+            # sum would move the last bits that the cutoff test compares.
+            return float(self.c @ self._with_basic(xnb.copy()))
+
         while True:
-            if cutoff is not None and self.objective() > cutoff:
+            if cutoff is not None and objective() > cutoff:
                 # The running objective is a dual bound; past the cutoff
                 # the caller will discard this node, so stop pivoting as
                 # soon as a drift check (or a refactorization) confirms.
@@ -440,14 +472,11 @@ class LpWorkspace:
                 self._refactor()
                 d = self._reduced_costs(c)
                 since_refactor = 0
-                if self.objective() > cutoff:
+                if objective() > cutoff:
                     return STATUS_CUTOFF
-            lb_b = self.lb[self.basis]
-            ub_b = self.ub[self.basis]
             viol_lo = lb_b - self.beta
             viol_hi = self.beta - ub_b
             viol = np.maximum(viol_lo, viol_hi)
-            tol = col_tol[self.basis]
             scaled = viol / tol
             if float(scaled.max()) <= 1.0:
                 if confirmed:
@@ -471,25 +500,17 @@ class LpWorkspace:
             delta = float(self.beta[r] - target)
 
             arow = self._mat_t_vec(self.Bt[:, r])
-            at_lb = self.stat == AT_LB
-            at_ub = self.stat == AT_UB
+            toward = dirv * arow
             if delta > 0:
-                ok = (at_lb & (arow > _PIVOT_TOL)) | (
-                    at_ub & (arow < -_PIVOT_TOL)
-                )
+                cand = np.flatnonzero(toward > _PIVOT_TOL)
             else:
-                ok = (at_lb & (arow < -_PIVOT_TOL)) | (
-                    at_ub & (arow > _PIVOT_TOL)
-                )
-            cand = np.flatnonzero(ok)
+                cand = np.flatnonzero(toward < -_PIVOT_TOL)
             if not cand.size:
                 # Re-derive everything from a fresh factorization before
                 # trusting an infeasibility verdict.
                 self._refactor()
                 d = self._reduced_costs(c)
-                lbb = self.lb[self.basis]
-                ubb = self.ub[self.basis]
-                still = np.maximum(lbb - self.beta, self.beta - ubb) / tol
+                still = np.maximum(lb_b - self.beta, self.beta - ub_b) / tol
                 if float(still.max()) <= 1.0:
                     return STATUS_OPTIMAL
                 if not retried:
@@ -514,20 +535,20 @@ class LpWorkspace:
             ridx, vals = self._column(q)
             alpha = self.Bt[ridx].T @ vals
             dv = delta / arow[q]
-            enter_val = (
-                self.ub[q] if self.stat[q] == AT_UB else self.lb[q]
-            ) + dv
+            enter_val = xnb[q] + dv
             leaving = int(self.basis[r])
             self.beta -= dv * alpha
-            if self.lb[leaving] == self.ub[leaving]:
-                self.stat[leaving] = FIXED
-            else:
-                self.stat[leaving] = AT_UB if above else AT_LB
+            dirv[leaving] = self._leave(leaving, to_ub=above)
+            xnb[leaving] = (self.ub if dirv[leaving] < 0 else self.lb)[leaving]
             self.basis[r] = q
             self.stat[q] = BASIC
+            dirv[q] = 0.0
+            lb_b[r] = self.lb[q]
+            ub_b[r] = self.ub[q]
+            tol[r] = col_tol[q]
             self.beta[r] = enter_val
             theta = d[q] / arow[q]
-            d = d - theta * arow
+            d -= theta * arow
             d[q] = 0.0
             stall = stall + 1 if abs(delta) <= 1e-10 else 0
             if stall > _STALL_LIMIT:
@@ -625,15 +646,18 @@ class LpWorkspace:
         ``cutoff`` aborts the solve with STATUS_CUTOFF once the objective
         (a valid lower bound throughout, by weak duality) exceeds it.
         """
-        if getattr(self, "_conflict", False):
+        if self._conflict:
             return STATUS_INFEASIBLE
         return self._dual(self.c, cutoff)
 
-    def values_extended(self) -> np.ndarray:
-        v = self._nonbasic_values()
+    def _with_basic(self, v: np.ndarray) -> np.ndarray:
+        """Fill the basic positions of a nonbasic value vector in place."""
         if self.m:
             v[self.basis] = self.beta
         return v
+
+    def values_extended(self) -> np.ndarray:
+        return self._with_basic(self._nonbasic_values())
 
     def values(self) -> np.ndarray:
         return self.values_extended()[: self.n_struct]

@@ -125,6 +125,48 @@ def test_solve_rejects_garbage_files(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def solve_edited(tmp_path, capsys, edit):
+    """Solve a written scenario after ``edit`` changes its document."""
+    path = write_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return run(capsys, "solve", str(path))
+
+
+def test_solve_rejects_a_nan_capacity(tmp_path, capsys):
+    def edit(doc):
+        doc["nodes"][0]["capacity_mips"] = float("nan")
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "capacity_mips must be a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_solve_rejects_an_infinite_workload(tmp_path, capsys):
+    def edit(doc):
+        doc["demands"][0]["workload_mips"] = float("inf")
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "workload_mips must be a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_solve_rejects_a_string_workload(tmp_path, capsys):
+    def edit(doc):
+        doc["demands"][0]["workload_mips"] = "2880"
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "workload_mips must be a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(

@@ -13,12 +13,14 @@ from vecopt.milp import (
     build_milp,
     check_assignment,
     clean_assignment,
+    cleanup_arrays,
     extract_placement,
     interchange_classes,
     route_energy_per_bit,
     to_fixed_format,
 )
 from vecopt.power import cloud_only_placement
+from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario
 from vecopt.types import PlacementError
 
@@ -182,6 +184,77 @@ def test_clean_assignment_strips_solver_noise():
     # conservation is restored exactly
     total = sum(cleaned[prob.x_index(0, n)] for n in range(prob.n_nodes))
     assert total == pytest.approx(2880.0, abs=1e-9)
+
+
+def clean_by_demand(prob, values):
+    """Per-demand loop that the vectorized cleanup must match bit for bit."""
+    v = np.array(values, dtype=float)
+    D, N = prob.n_demands, prob.n_nodes
+    scenario = prob.scenario
+    node_pos = {node_id: n for n, node_id in enumerate(prob.node_ids)}
+    active = set()
+    for d in range(D):
+        demand = scenario.demands[d]
+        idx = [prob.x_index(d, n) for n in range(N)]
+        xs = v[idx]
+        xs[xs < 1e-7 * demand.workload_mips] = 0.0
+        total = xs.sum()
+        if total > 0:
+            xs *= demand.workload_mips / total
+        v[idx] = xs
+        active.add(node_pos[demand.source])
+        for n in range(N):
+            serving = xs[n] > 0
+            v[prob.y_index(d, n)] = 1.0 if serving else 0.0
+            if serving:
+                active.add(n)
+                for relay in scenario.path_intermediates(
+                    demand.source, prob.node_ids[n]
+                ):
+                    active.add(node_pos[relay])
+    for n in range(N):
+        v[prob.a_index(n)] = 1.0 if n in active else 0.0
+    return v
+
+
+def noisy_relaxation(prob, rng):
+    """Shares of each workload spread over a few nodes, plus solver noise."""
+    D, N = prob.n_demands, prob.n_nodes
+    v = rng.uniform(-1e-9, 1e-9, len(prob.variables))
+    for d, demand in enumerate(prob.scenario.demands):
+        idx = [prob.x_index(d, n) for n in range(N)]
+        share = rng.dirichlet(np.ones(N)) * demand.workload_mips
+        share[rng.random(N) < 0.6] = 0.0  # most nodes do not serve
+        crumbs = rng.random(N) < 0.3
+        share[crumbs] = rng.uniform(0.0, 2e-7, crumbs.sum()) * (
+            demand.workload_mips
+        )
+        v[idx] += share
+    v[D * N :] += rng.random(len(v) - D * N) < 0.5
+    return v
+
+
+def test_clean_assignment_matches_the_per_demand_loop():
+    rng = np.random.default_rng(7)
+    problems = [build_milp(random_scenario(seed)) for seed in range(30)]
+    problems += [
+        build_milp(build_reference_scenario(cls, count))
+        for cls, count in (("small", 1), ("medium", 4), ("large", 10))
+    ]
+    checked = 0
+    for prob in problems:
+        arrays = cleanup_arrays(prob)
+        for _ in range(40):
+            noisy = noisy_relaxation(prob, rng)
+            want = clean_by_demand(prob, noisy)
+            for got in (
+                clean_assignment(prob, noisy),
+                clean_assignment(prob, noisy, arrays),
+            ):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            checked += 1
+    assert checked == 40 * len(problems)
 
 
 def test_fixed_format_sections():

@@ -1,5 +1,6 @@
 """Scenario construction, validation, and serialization round trips."""
 
+import copy
 import math
 import random
 
@@ -154,6 +155,60 @@ def test_validate_flags_duplicate_node_id():
     doc["nodes"].append(dict(doc["nodes"][0]))
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc)
+
+
+BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "1", None, True)
+
+
+def number_fields(doc):
+    """(entity, field) for one of each kind of number in the document."""
+    node, demand = doc["nodes"][0], doc["demands"][0]
+    fields = [
+        (node, name)
+        for name in (
+            "max_power_w",
+            "idle_power_w",
+            "processing_fraction",
+            "communication_fraction",
+            "capacity_mips",
+        )
+    ]
+    fields.append((node["interfaces"][0], "capacity_bps"))
+    fields += [(demand, "workload_mips"), (demand, "traffic_bps")]
+    if "links" in doc:
+        link = doc["links"][0]
+        fields += [(link, "capacity_bps"), (link, "energy_per_bit")]
+    return fields
+
+
+@pytest.mark.parametrize("wired", [True, False])
+def test_validate_rejects_numbers_that_are_not_finite(wired):
+    base = scenario_to_dict(build_reference_scenario("small", 1))
+    if not wired:  # the loader wires links from the node numbers
+        del base["links"], base["routes"]
+    for k in range(len(number_fields(base))):
+        for value in BAD_NUMBERS:
+            doc = copy.deepcopy(base)
+            entity, name = number_fields(doc)[k]
+            if name == "traffic_bps" and value is None:
+                continue  # absent traffic is derived from the workload
+            entity[name] = value
+            with pytest.raises(ScenarioError):
+                scenario_from_dict(doc)
+
+
+def test_loader_reports_unpriceable_nodes_and_workloads():
+    doc = scenario_to_dict(build_reference_scenario("small", 1))
+    del doc["links"], doc["routes"]
+    idle_above_max = copy.deepcopy(doc)
+    idle_above_max["nodes"][0]["idle_power_w"] = 1e9
+    with pytest.raises(ScenarioError, match="power budget"):
+        scenario_from_dict(idle_above_max)
+    negative = copy.deepcopy(doc)
+    del negative["demands"][0]["traffic_bps"]
+    negative["demands"][0]["workload_mips"] = -1.0
+    with pytest.raises(ScenarioError, match="workload"):
+        scenario_from_dict(negative)
 
 
 def test_serialization_is_deterministic():

@@ -250,6 +250,63 @@ def test_long_warm_pivot_runs_match_cold_solves():
     assert ws.iterations - root_iterations >= 100
 
 
+def test_warm_state_survives_cutoff_stops(monkeypatch):
+    """Cutoff stops and refactorizations leave the dual's state exact.
+
+    A dive on a reference model fixes three binaries a step and stops
+    some solves at a cutoff just below the cold objective: left there,
+    or resumed by a warm solve.  The others run under a cutoff just above
+    it.  Every finished warm solve must match a cold solve.
+    """
+    prob = build_milp(build_reference_scenario("small", 6))
+    binaries = list(prob.binary_indices())
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    root_iterations = ws.iterations
+    refactors = 0
+    refactor = ws._refactor
+
+    def counted():
+        nonlocal refactors
+        refactors += 1
+        refactor()
+
+    monkeypatch.setattr(ws, "_refactor", counted)
+    rng = random.Random(4)
+    branch: dict[int, tuple[float, float]] = {}
+    cutoffs = optimal = 0
+    for step in range(18):
+        fixed = [int(j) for j in rng.sample(binaries, 3)]
+        for j in fixed:
+            branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
+        cold = LpWorkspace(prob, branch)
+        conflict = not ws.set_branch(branch)
+        if cold.solve_primal() != STATUS_OPTIMAL:
+            assert ws.solve_dual() == STATUS_INFEASIBLE
+            for j in fixed:
+                del branch[j]  # back out of the dead end and dive on
+            continue
+        assert not conflict
+        cold_obj = cold.objective()
+        margin = 1e-3 * max(1.0, abs(cold_obj))
+        if step % 3 < 2:
+            assert ws.solve_dual(cutoff=cold_obj - margin) == STATUS_CUTOFF
+            cutoffs += 1
+            if step % 3 == 0:
+                continue  # the next step starts from the stopped state
+            status = ws.solve_dual()
+        else:
+            status = ws.solve_dual(cutoff=cold_obj + margin)
+        assert status == STATUS_OPTIMAL
+        assert abs(ws.objective() - cold_obj) <= OBJ_TOL * max(
+            1.0, abs(cold_obj)
+        )
+        optimal += 1
+    assert cutoffs >= 6 and optimal >= 6
+    assert refactors >= 3
+    assert ws.iterations - root_iterations >= 200
+
+
 def test_branch_conflict_is_reported():
     prob = build_milp(random_scenario(3))
     j = int(prob.binary_indices()[0])
