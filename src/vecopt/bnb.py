@@ -51,7 +51,6 @@ class SolveStats:
     lp_iterations: int = 0
     wall_ms: float = 0.0
     gap: float = 0.0
-    min_bound_delta: float = 0.0
 
 
 @dataclass
@@ -257,9 +256,6 @@ def branch_and_bound(
         if status != STATUS_OPTIMAL:
             continue
         node_obj = ws.objective()
-        stats.min_bound_delta = min(
-            stats.min_bound_delta, node_obj - parent_bound
-        )
         if inc_vec is not None and node_obj >= inc_obj - gap:
             continue
         fractional = process(ws.values())

@@ -106,9 +106,6 @@ class MilpProblem:
     def objective_vector(self) -> np.ndarray:
         return np.array([v.objective for v in self.variables])
 
-    def objective_value(self, values: Sequence[float]) -> float:
-        return float(np.dot(self.objective_vector(), np.asarray(values)))
-
 
 def route_energy_per_bit(scenario: Scenario, src: str, dst: str) -> float:
     """Joules per bit along the fixed route (zero when src == dst)."""

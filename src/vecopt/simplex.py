@@ -1,18 +1,20 @@
 """Embedded linear-programming engine.
 
 A revised simplex method for bounded variables, kept deliberately dense:
-the basis inverse is maintained explicitly (product-form updates with
-periodic refactorization) while the constraint matrix lives in sorted
-triplet form.  A dual mode re-optimizes cheaply after bound changes,
-which is what the branch-and-bound driver leans on.
+the constraint matrix lives in sorted triplet form and the basis inverse
+in product form (Dantzig & Orchard-Hays, 1954).  A dual mode
+re-optimizes cheaply after bound changes, which is what branch and
+bound leans on.
 
-The inverse is stored transposed (``Bt``, row-major), so that a pivot
-touches only the rows of ``Bt`` where the pivot row of B^-1 is nonzero
-and each entering column is gathered from a few contiguous rows.  The
-full products with B^-1 (the duals, the basic values after a
-refactorization and the shift after a bound change) run on a row-major
-untransposed copy instead: BLAS sums ``Bt @ x`` in another order than
-``Binv.T @ x``, and the last bits it changes would move pivot paths.
+The inverse is B^-1 = B0^-1 + sum_k u_k rho_k', a base from the last
+factorization plus a tail of at most ``_FOLD_EVERY`` rank-1 terms, one
+per pivot.  The base is stored transposed (``Bt``, row-major), so that
+an entering column is gathered from a few contiguous rows; the tail is
+held row by row in ``Ut`` (the u_k) and ``Wt`` (the rho_k, each the
+pivot row of B^-1 that the ratio test computed anyway).  A pivot appends
+one term in O(m); one matrix product folds a full tail into the base,
+and a refactorization replaces both.  Pivot tolerances are relative to
+the vectors they test, so they hold whatever roundoff the tail leaves.
 
 Solves min c'x subject to row constraints and variable bounds.  Binary
 variables from the MILP arrive here already relaxed to their bounds.
@@ -38,6 +40,7 @@ _DUAL_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 50
 _REFACTOR_EVERY = 100
+_FOLD_EVERY = 32  # rank-1 terms the inverse's tail holds before a fold
 _ITER_LIMIT = 200000
 
 
@@ -199,7 +202,10 @@ class LpWorkspace:
         self._branch: dict[int, tuple[float, float]] = {}
         self._conflict = False  # the last set_branch emptied a bound
         self._basis_ready = False
-        self._binv: np.ndarray | None = None  # untransposed copy of Bt
+        # The tail of the inverse: t terms u_k rho_k' in rows of Ut and Wt.
+        self.Ut = np.empty((_FOLD_EVERY, m))
+        self.Wt = np.empty((_FOLD_EVERY, m))
+        self.t = 0
 
     # -- sparse helpers --------------------------------------------------
 
@@ -270,7 +276,7 @@ class LpWorkspace:
                     art_cost[j] = -1.0
         self.stat[self.basis] = BASIC
         self.Bt = np.eye(m)
-        self._binv = None
+        self.t = 0
         self.beta = resid.copy()
         self._basis_ready = True
         return art_cost
@@ -279,30 +285,49 @@ class LpWorkspace:
         m = self.m
         if m == 0:
             return
-        B = np.zeros((m, m))
+        # Row k of B' is basis column k, and inv(B') is B^-T, the new base.
+        Bt = np.zeros((m, m))
         for k in range(m):
             ridx, vals = self._column(int(self.basis[k]))
-            B[ridx, k] = vals
+            Bt[k, ridx] = vals
         try:
-            binv = np.linalg.inv(B)
+            self.Bt = np.linalg.inv(Bt)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis: {exc}") from None
+        self.t = 0
         v = self._nonbasic_values()
-        self.beta = binv @ (self.b - self._mat_vec(v))
-        self.Bt = np.ascontiguousarray(binv.T)
-        self._binv = binv
+        self.beta = self._ftran(self.b - self._mat_vec(v))
 
-    def _untransposed(self) -> np.ndarray:
-        """B^-1 in row-major order, rebuilt only after a pivot."""
-        if self._binv is None:
-            self._binv = np.ascontiguousarray(self.Bt.T)
-        return self._binv
+    # The four products with B^-1 = B0^-1 + Ut[:t]' Wt[:t]; every read of
+    # the inverse goes through one of them.
+
+    def _pivot_row(self, r: int) -> np.ndarray:
+        """Row r of B^-1."""
+        t = self.t
+        return self.Bt[:, r] + self.Wt[:t].T @ self.Ut[:t, r]
+
+    def _ftran_column(self, j: int) -> np.ndarray:
+        """B^-1 a_j for extended column j."""
+        ridx, vals = self._column(j)
+        t = self.t
+        return self.Bt[ridx].T @ vals + self.Ut[:t].T @ (
+            self.Wt[:t, ridx] @ vals
+        )
+
+    def _ftran(self, x: np.ndarray) -> np.ndarray:
+        """B^-1 x for a dense x."""
+        t = self.t
+        return self.Bt.T @ x + self.Ut[:t].T @ (self.Wt[:t] @ x)
+
+    def _btran(self, y: np.ndarray) -> np.ndarray:
+        """B^-T y for a dense y."""
+        t = self.t
+        return self.Bt @ y + self.Wt[:t].T @ (self.Ut[:t] @ y)
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         if self.m == 0:
             return c.copy()
-        pi = self._untransposed().T @ c[self.basis]
-        return c - self._mat_t_vec(pi)
+        return c - self._mat_t_vec(self._btran(c[self.basis]))
 
     def _solution_residual(self) -> float:
         """Max row residual of the current basic solution, scaled by b."""
@@ -313,18 +338,22 @@ class LpWorkspace:
         resid = float(np.abs(self.b - self._mat_vec(v)).max())
         return resid / (1.0 + float(np.abs(self.b).max()))
 
-    def _update_binv(self, alpha: np.ndarray, r: int):
-        # Product-form rank-1 update B^-1 -= alpha (x) row, done on the
-        # transpose: row r of B^-1 is column r of Bt, and only the rows of
-        # Bt where it is nonzero change (every other entry would have zero
-        # subtracted).  alpha is dead after this call, so it is clobbered
-        # in place of a copy.
-        row = self.Bt[:, r] / alpha[r]
-        alpha[r] = 0.0
-        cols = np.flatnonzero(row)
-        self.Bt[cols] -= row[cols, None] * alpha
-        self.Bt[:, r] = row
-        self._binv = None
+    def _update_binv(self, alpha: np.ndarray, rho: np.ndarray, r: int):
+        """Append the pivot on row r to the tail: B^-1 += u rho'.
+
+        ``alpha`` is the entering column B^-1 a_q and ``rho`` row r of
+        B^-1, both before the pivot; u is the eta column minus e_r.  A
+        full tail is folded into the base with one matrix product.
+        """
+        t = self.t
+        u = self.Ut[t]
+        np.divide(alpha, -alpha[r], out=u)
+        u[r] = 1.0 / alpha[r] - 1.0
+        self.Wt[t] = rho
+        self.t = t + 1
+        if self.t == _FOLD_EVERY:
+            self.Bt += self.Wt.T @ self.Ut
+            self.t = 0
 
     # -- primal simplex ------------------------------------------------------
 
@@ -353,15 +382,16 @@ class LpWorkspace:
                 q = int(np.argmax(np.where(can_enter, np.abs(d), -1.0)))
             sigma = float(dirv[q])
 
-            ridx, vals = self._column(q)
-            alpha = self.Bt[ridx].T @ vals if m else np.zeros(0)
+            alpha = self._ftran_column(q) if m else np.zeros(0)
             abar = sigma * alpha
+            amax = float(np.abs(alpha).max()) if m else 0.0
+            piv_tol = _PIVOT_TOL * max(1.0, amax)
 
             lb_b = self.lb[self.basis] if m else np.zeros(0)
             ub_b = self.ub[self.basis] if m else np.zeros(0)
             t = np.full(m, np.inf)
-            up = abar > _PIVOT_TOL
-            dn = abar < -_PIVOT_TOL
+            up = abar > piv_tol
+            dn = abar < -piv_tol
             with np.errstate(invalid="ignore"):
                 t[up] = (self.beta[up] - lb_b[up]) / abar[up]
                 t[dn] = (self.beta[dn] - ub_b[dn]) / abar[dn]
@@ -393,12 +423,8 @@ class LpWorkspace:
                     r = int(ties[np.argmin(self.basis[ties])])
                 else:
                     r = int(ties[np.argmax(np.abs(abar[ties]))])
-                if abs(alpha[r]) < _PIVOT_TOL:
-                    self._refactor()
-                    d = self._reduced_costs(c)
-                    since_refactor = 0
-                    continue
-                arow = self._mat_t_vec(self.Bt[:, r])
+                rho = self._pivot_row(r)
+                arow = self._mat_t_vec(rho)
                 leaving = int(self.basis[r])
                 enter_val = (
                     self.lb[q] if sigma > 0 else self.ub[q]
@@ -412,7 +438,7 @@ class LpWorkspace:
                 theta = d[q] / alpha[r]
                 d -= theta * arow
                 d[q] = 0.0
-                self._update_binv(alpha, r)
+                self._update_binv(alpha, rho, r)
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 d = self._reduced_costs(c)
@@ -499,12 +525,14 @@ class LpWorkspace:
             target = ub_b[r] if above else lb_b[r]
             delta = float(self.beta[r] - target)
 
-            arow = self._mat_t_vec(self.Bt[:, r])
+            rho = self._pivot_row(r)
+            arow = self._mat_t_vec(rho)
             toward = dirv * arow
+            piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(rho).max()))
             if delta > 0:
-                cand = np.flatnonzero(toward > _PIVOT_TOL)
+                cand = np.flatnonzero(toward > piv_tol)
             else:
-                cand = np.flatnonzero(toward < -_PIVOT_TOL)
+                cand = np.flatnonzero(toward < -piv_tol)
             if not cand.size:
                 # Re-derive everything from a fresh factorization before
                 # trusting an infeasibility verdict.
@@ -532,8 +560,7 @@ class LpWorkspace:
             if self.iterations > deadline:
                 raise SolverError("iteration limit exceeded")
 
-            ridx, vals = self._column(q)
-            alpha = self.Bt[ridx].T @ vals
+            alpha = self._ftran_column(q)
             dv = delta / arow[q]
             enter_val = xnb[q] + dv
             leaving = int(self.basis[r])
@@ -553,7 +580,7 @@ class LpWorkspace:
             stall = stall + 1 if abs(delta) <= 1e-10 else 0
             if stall > _STALL_LIMIT:
                 bland = True
-            self._update_binv(alpha, r)
+            self._update_binv(alpha, rho, r)
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 d = self._reduced_costs(c)
@@ -599,7 +626,8 @@ class LpWorkspace:
             lo = max(lo, float(self.root_lb[j]))
             hi = min(hi, float(self.root_ub[j]))
             if lo > hi + 1e-12:
-                self._branch = dict(branch)
+                # Nothing is applied: the bounds in place stay those of
+                # the branch before, which the next call must reset.
                 self._conflict = True
                 return False
             updates[j] = (lo, hi)
@@ -637,7 +665,7 @@ class LpWorkspace:
             for j, dv in delta_cols:
                 ridx, vals = self._column(j)
                 np.add.at(shift, ridx, vals * dv)
-            self.beta -= self._untransposed() @ shift
+            self.beta -= self._ftran(shift)
         return True
 
     def solve_dual(self, cutoff: float | None = None) -> str:

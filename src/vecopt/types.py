@@ -10,8 +10,8 @@ by mutation and loaders can reject them with a full list of problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 VERSION = "0.1.0"
 
@@ -174,10 +174,6 @@ class Scenario:
         except KeyError:
             raise ScenarioError(f"unknown link {link_id!r}") from None
 
-    def node_index(self, node_id: str) -> int:
-        self.node(node_id)
-        return self._node_order[node_id]
-
     @property
     def _node_map(self) -> dict[str, NodeSpec]:
         cached = self.__dict__.get("_node_map_cache")
@@ -232,9 +228,6 @@ class Scenario:
         if path.links and at != dst:
             raise ScenarioError(f"route {src}->{dst}: ends at {at}")
         return tuple(nodes[:-1])
-
-    def with_demands(self, demands: Iterable[DemandSpec]) -> "Scenario":
-        return replace(self, demands=tuple(demands))
 
 
 @dataclass(frozen=True)
@@ -324,6 +317,3 @@ class Placement:
 
     def node_load(self, node_id: str) -> float:
         return sum(v for (_, n), v in self.x.items() if n == node_id)
-
-    def demand_total(self, demand_id: str) -> float:
-        return sum(v for (d, _), v in self.x.items() if d == demand_id)

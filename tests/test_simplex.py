@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from vecopt import simplex
 from vecopt.milp import MilpProblem, RowDef, VarDef, build_milp
 from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario
@@ -250,33 +251,23 @@ def test_long_warm_pivot_runs_match_cold_solves():
     assert ws.iterations - root_iterations >= 100
 
 
-def test_warm_state_survives_cutoff_stops(monkeypatch):
-    """Cutoff stops and refactorizations leave the dual's state exact.
+def cutoff_dive(
+    prob: MilpProblem, ws: LpWorkspace, rng: random.Random, per_step: int
+) -> tuple[int, int]:
+    """Dive on a solved workspace, with cutoff stops; returns their counts.
 
-    A dive on a reference model fixes three binaries a step and stops
-    some solves at a cutoff just below the cold objective: left there,
-    or resumed by a warm solve.  The others run under a cutoff just above
-    it.  Every finished warm solve must match a cold solve.
+    Each of 18 steps fixes ``per_step`` more binaries and stops some
+    solves at a cutoff just below the cold objective: left there, or
+    resumed by a warm solve.  The others run under a cutoff just above
+    it.  A step whose cold solve is infeasible must be infeasible warm
+    too, and is backed out of.  Every finished warm solve must match a
+    cold solve.  Returns the numbers of cutoff stops and checked optima.
     """
-    prob = build_milp(build_reference_scenario("small", 6))
     binaries = list(prob.binary_indices())
-    ws = LpWorkspace(prob)
-    assert ws.solve_primal() == STATUS_OPTIMAL
-    root_iterations = ws.iterations
-    refactors = 0
-    refactor = ws._refactor
-
-    def counted():
-        nonlocal refactors
-        refactors += 1
-        refactor()
-
-    monkeypatch.setattr(ws, "_refactor", counted)
-    rng = random.Random(4)
     branch: dict[int, tuple[float, float]] = {}
     cutoffs = optimal = 0
     for step in range(18):
-        fixed = [int(j) for j in rng.sample(binaries, 3)]
+        fixed = [int(j) for j in rng.sample(binaries, per_step)]
         for j in fixed:
             branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
         cold = LpWorkspace(prob, branch)
@@ -302,9 +293,88 @@ def test_warm_state_survives_cutoff_stops(monkeypatch):
             1.0, abs(cold_obj)
         )
         optimal += 1
+    return cutoffs, optimal
+
+
+def test_warm_state_survives_cutoff_stops(monkeypatch):
+    """Cutoff stops and refactorizations leave the dual's state exact."""
+    prob = build_milp(build_reference_scenario("small", 6))
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    root_iterations = ws.iterations
+    refactors = 0
+    refactor = ws._refactor
+
+    def counted():
+        nonlocal refactors
+        refactors += 1
+        refactor()
+
+    monkeypatch.setattr(ws, "_refactor", counted)
+    cutoffs, optimal = cutoff_dive(prob, ws, random.Random(4), per_step=3)
     assert cutoffs >= 6 and optimal >= 6
     assert refactors >= 3
     assert ws.iterations - root_iterations >= 200
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_warm_dives_survive_branch_conflicts(seed):
+    """Deep dives whose steps often conflict with root-fixed binaries.
+
+    A conflicting ``set_branch`` applies no bound, so the call after it
+    must still reset every bound of the branch applied before it.
+    """
+    prob = build_milp(build_reference_scenario("small", 6))
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    cutoff_dive(prob, ws, random.Random(seed), per_step=8)
+
+
+def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
+    """The base plus tail form of B^-1 stays exact over many folds.
+
+    A warm dive without a refactorization folds the tail into the base
+    several times.  After every step, each product with the inverse
+    (pivot rows, FTRAN of columns and dense vectors, BTRAN) must invert
+    the basis columns, and the warm objective must match a cold solve.
+    """
+    prob = build_milp(build_reference_scenario("small", 6))
+    binaries = list(prob.binary_indices())
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    monkeypatch.setattr(ws, "_refactor", lambda: pytest.fail("refactored"))
+    m = ws.m
+    eye = np.eye(m)
+    root_iterations = ws.iterations
+    rng = random.Random(6021)
+    branch: dict[int, tuple[float, float]] = {}
+    for _ in range(12):
+        branch[int(rng.choice(binaries))] = rng.choice(
+            [(0.0, 0.0), (1.0, 1.0)]
+        )
+        assert ws.set_branch(branch)
+        assert ws.solve_dual() == STATUS_OPTIMAL
+        cold = LpWorkspace(prob, branch)
+        assert cold.solve_primal() == STATUS_OPTIMAL
+        assert abs(ws.objective() - cold.objective()) <= OBJ_TOL * max(
+            1.0, abs(cold.objective())
+        )
+
+        pivots = ws.iterations - root_iterations
+        assert ws.t == pivots % simplex._FOLD_EVERY  # one term a pivot
+        B = np.zeros((m, m))
+        for k, j in enumerate(ws.basis):
+            ridx, vals = ws._column(int(j))
+            B[ridx, k] = vals
+        binv = np.linalg.inv(B)
+        rows = np.array([ws._pivot_row(r) for r in range(m)])
+        cols = np.column_stack([ws._ftran_column(int(j)) for j in ws.basis])
+        assert np.abs(rows - binv).max() <= 1e-8 * np.abs(binv).max()
+        assert np.abs(rows @ B - eye).max() <= 1e-8
+        assert np.abs(cols - eye).max() <= 1e-8
+        assert np.abs(ws._ftran(B) - eye).max() <= 1e-8
+        assert np.abs(ws._btran(B.T) - eye).max() <= 1e-8
+    assert pivots >= 3 * simplex._FOLD_EVERY
 
 
 def test_branch_conflict_is_reported():
@@ -317,6 +387,24 @@ def test_branch_conflict_is_reported():
     # workspace recovers once the conflict is withdrawn
     assert ws.set_branch({})
     assert ws.solve_dual() == STATUS_OPTIMAL
+
+
+def test_conflicting_branch_applies_nothing():
+    """After a conflict, the next branch still resets the bounds in place."""
+    prob = build_milp(build_reference_scenario("small", 1))
+    cloud = [v.name for v in prob.variables].index("a[cloud0]")
+    k = int(prob.binary_indices()[0])
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    root = ws.objective()
+    assert ws.set_branch({cloud: (1.0, 1.0)})
+    assert ws.solve_dual() == STATUS_OPTIMAL
+    assert ws.objective() > root + 1.0  # the cloud's idle power
+    assert ws.set_branch({k: (1.0, 0.0)}) is False
+    assert ws.solve_dual() == STATUS_INFEASIBLE
+    assert ws.set_branch({})
+    assert ws.solve_dual() == STATUS_OPTIMAL
+    assert ws.objective() == pytest.approx(root, rel=1e-9)
 
 
 def test_cutoff_prunes_without_losing_optima():
