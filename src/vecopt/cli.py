@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .bnb import MilpSolution, solve_scenario
 from .check import cross_check
-from .power import cloud_only_baseline, evaluate_placement
+from .power import cloud_only_baseline, evaluate_placement, sig
 from .scenario import (
     CLASS_ORDER,
     build_reference_scenario,
@@ -34,10 +34,6 @@ EXIT_TIMEOUT = 3
 # Keep the exhaustive cross-check tractable: its work grows with the
 # product of node and demand counts.
 MAX_CHECK_CELLS = 18
-
-
-def _sig(value: float) -> float:
-    return float(f"{value:.6g}")
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
@@ -124,7 +120,7 @@ def solution_to_dict(solution: MilpSolution, scenario: Scenario) -> dict:
         "baseline_w": None,
         "saving_pct": None,
         "cloud_mips": None,
-        "gap": _sig(solution.stats.gap),
+        "gap": sig(solution.stats.gap),
         "explored_nodes": solution.stats.explored_nodes,
         "lp_iterations": solution.stats.lp_iterations,
         "power": None,
@@ -133,12 +129,12 @@ def solution_to_dict(solution: MilpSolution, scenario: Scenario) -> dict:
     if solution.status == "infeasible" or solution.assignment is None:
         return doc
     report = evaluate_placement(scenario, solution.placement)
-    doc["objective_w"] = _sig(solution.objective)
-    doc["cloud_mips"] = _sig(report.tier_load("cloud"))
+    doc["objective_w"] = sig(solution.objective)
+    doc["cloud_mips"] = sig(report.tier_load("cloud"))
     doc["power"] = report.to_dict()
     doc["placement"] = {
         "assignments": [
-            {"demand": d, "node": n, "mips": _sig(mips)}
+            {"demand": d, "node": n, "mips": sig(mips)}
             for (d, n), mips in sorted(solution.placement.x.items())
         ],
         "serving": {
@@ -151,8 +147,8 @@ def solution_to_dict(solution: MilpSolution, scenario: Scenario) -> dict:
         baseline = cloud_only_baseline(scenario)
     except PlacementError:
         return doc
-    doc["baseline_w"] = _sig(baseline.total_w)
-    doc["saving_pct"] = _sig(compute_saving(report.total_w, baseline.total_w))
+    doc["baseline_w"] = sig(baseline.total_w)
+    doc["saving_pct"] = sig(compute_saving(report.total_w, baseline.total_w))
     return doc
 
 

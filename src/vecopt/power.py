@@ -26,6 +26,11 @@ from .types import (
 )
 
 
+def sig(value: float) -> float:
+    """``value`` rounded to the six significant digits documents carry."""
+    return float(f"{value:.6g}")
+
+
 class DerivationError(ValueError):
     """Power coefficients cannot be derived from a node spec."""
 
@@ -179,9 +184,6 @@ class PowerReport:
         return sum(n.load_mips for n in self.nodes if n.tier == tier)
 
     def to_dict(self) -> dict:
-        def sig(v: float) -> float:
-            return float(f"{v:.6g}")
-
         return {
             "total_w": sig(self.total_w),
             "tiers": {

@@ -9,6 +9,7 @@ edge nodes or the cloud only through their own access point.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path as FsPath
@@ -506,15 +507,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
-        "options": {
-            "instructions_per_bit": scenario.options.instructions_per_bit,
-            "cloud_path_energy_per_bit": (
-                scenario.options.cloud_path_energy_per_bit
-            ),
-            "cloud_provisioning": scenario.options.cloud_provisioning,
-            "cloud_server_capacity": scenario.options.cloud_server_capacity,
-            "dsrc_medium": scenario.options.dsrc_medium,
-        },
+        "options": dataclasses.asdict(scenario.options),
         "nodes": [
             {
                 "id": n.id,

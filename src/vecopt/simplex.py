@@ -1,10 +1,16 @@
 """Embedded linear-programming engine.
 
-A revised simplex method for bounded variables, kept deliberately dense:
+A dual simplex method for bounded variables, kept deliberately dense:
 the constraint matrix lives in sorted triplet form and the basis inverse
-in product form (Dantzig & Orchard-Hays, 1954).  A dual mode
-re-optimizes cheaply after bound changes, which is what branch and
-bound leans on.
+in product form (Dantzig & Orchard-Hays, 1954).  The same algorithm
+solves the root and re-optimizes after bound changes, which is what
+branch and bound leans on.
+
+The root starts from the all-slack basis with every nonbasic column at
+the bound its cost prefers.  Its reduced costs are the costs themselves,
+so that basis is dual feasible whenever each preferred bound is finite;
+every column of the placement model is boxed, so the dual needs no
+phase one and no artificial columns (Koberstein, 2005).
 
 The inverse is B^-1 = B0^-1 + sum_k u_k rho_k', a base from the last
 factorization plus a tail of at most ``_FOLD_EVERY`` rank-1 terms, one
@@ -32,11 +38,9 @@ AT_LB, AT_UB, BASIC, FIXED = 0, 1, 2, 3
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_CUTOFF = "cutoff"
 
 _PRIMAL_TOL = 1e-7
-_DUAL_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 50
 _REFACTOR_EVERY = 100
@@ -45,7 +49,12 @@ _ITER_LIMIT = 200000
 
 
 class SolverError(RuntimeError):
-    """The engine failed to make progress; indicates a numerical problem."""
+    """The engine cannot solve this input.
+
+    Raised on a numerical failure (a singular basis, the iteration
+    limit) and on a model the dual cannot start from, one with a cost
+    that prefers an infinite bound (a free variable always has one).
+    """
 
 
 @dataclass
@@ -123,9 +132,9 @@ def _fold_singletons(
 class LpWorkspace:
     """One relaxation instance that can be re-solved under new bounds.
 
-    ``solve_primal`` computes the root optimum from a fresh slack basis;
-    ``set_branch`` plus ``solve_dual`` re-optimize after bound changes,
-    restarting from the previous optimal basis.
+    ``solve_primal`` computes the root optimum with the dual simplex from
+    a fresh slack basis; ``set_branch`` plus ``solve_dual`` re-optimize
+    after bound changes, restarting from the previous optimal basis.
     """
 
     def __init__(
@@ -149,7 +158,7 @@ class LpWorkspace:
 
         m = len(rows)
         self.m = m
-        ncols = n + 2 * m  # structurals, slacks, artificials
+        ncols = n + m  # structurals, slacks
         self.ncols = ncols
 
         coo_r: list[int] = []
@@ -173,10 +182,6 @@ class LpWorkspace:
             coo_r.append(i)
             coo_c.append(n + i)
             coo_v.append(1.0)
-        for i in range(m):  # artificial columns
-            coo_r.append(i)
-            coo_c.append(n + m + i)
-            coo_v.append(1.0)
 
         order = np.lexsort((np.asarray(coo_r), np.asarray(coo_c)))
         self.A_rows = np.asarray(coo_r, dtype=np.intp)[order]
@@ -185,17 +190,15 @@ class LpWorkspace:
         self.col_ptr = np.searchsorted(self.A_cols, np.arange(ncols + 1))
         self.b = b
 
-        self.lb = np.concatenate([lb, np.zeros(m), np.zeros(m)])
-        self.ub = np.concatenate([ub, slack_ub, np.zeros(m)])
+        self.lb = np.concatenate([lb, np.zeros(m)])
+        self.ub = np.concatenate([ub, slack_ub])
         self.root_lb = self.lb[:n].copy()
         self.root_ub = self.ub[:n].copy()
-        if np.any(np.isinf(self.lb[:n]) & np.isinf(self.ub[:n])):
-            raise SolverError("free variables are not supported")
 
         self.c = np.concatenate(
             [
                 np.array([v.objective for v in problem.variables]),
-                np.zeros(2 * m),
+                np.zeros(m),
             ]
         )
         self.iterations = 0
@@ -247,39 +250,26 @@ class LpWorkspace:
 
     # -- basis management --------------------------------------------------
 
-    def _start_basis(self) -> np.ndarray:
-        """Slack-or-artificial starting basis; returns phase-one costs."""
+    def _start_basis(self):
+        """All-slack basis, each nonbasic column at the bound its cost prefers.
+
+        The upper bound for a negative cost, the lower one otherwise.  The
+        basis is dual feasible unless some preferred bound is infinite,
+        which the placement model never builds and the dual cannot start
+        from.
+        """
         n, m = self.n_struct, self.m
-        self.stat = np.full(self.ncols, AT_LB, dtype=np.int8)
-        only_ub = np.isinf(self.lb) & ~np.isinf(self.ub)
-        self.stat[only_ub] = AT_UB
+        at_ub = self.c < 0
+        if np.isinf(np.where(at_ub, self.ub, self.lb)).any():
+            raise SolverError("a column's cost prefers an infinite bound")
+        self.stat = np.where(at_ub, AT_UB, AT_LB).astype(np.int8)
         self.stat[self.lb == self.ub] = FIXED
-        self.stat[n + m :] = FIXED  # artificials parked until needed
-
-        v = self._nonbasic_values()
-        resid = self.b - self._mat_vec(v)
-
-        self.basis = np.empty(m, dtype=np.intp)
-        art_cost = np.zeros(self.ncols)
-        for i in range(m):
-            s = resid[i]
-            if self.lb[n + i] - _PRIMAL_TOL <= s <= self.ub[n + i] + _PRIMAL_TOL:
-                self.basis[i] = n + i
-            else:
-                j = n + m + i
-                self.basis[i] = j
-                if s >= 0:
-                    self.lb[j], self.ub[j] = 0.0, np.inf
-                    art_cost[j] = 1.0
-                else:
-                    self.lb[j], self.ub[j] = -np.inf, 0.0
-                    art_cost[j] = -1.0
+        self.basis = np.arange(n, n + m, dtype=np.intp)
         self.stat[self.basis] = BASIC
         self.Bt = np.eye(m)
         self.t = 0
-        self.beta = resid.copy()
+        self.beta = self.b - self._mat_vec(self._nonbasic_values())
         self._basis_ready = True
-        return art_cost
 
     def _refactor(self):
         m = self.m
@@ -354,95 +344,6 @@ class LpWorkspace:
         if self.t == _FOLD_EVERY:
             self.Bt += self.Wt.T @ self.Ut
             self.t = 0
-
-    # -- primal simplex ------------------------------------------------------
-
-    def _primal(self, c: np.ndarray) -> str:
-        m = self.m
-        d = self._reduced_costs(c)
-        dirv = self._directions()
-        bland = False
-        stall = 0
-        since_refactor = 0
-        confirmed = False
-        deadline = self.iterations + _ITER_LIMIT
-        while True:
-            can_enter = dirv * d < -_DUAL_TOL
-            if not can_enter.any():
-                if confirmed or m == 0:
-                    return STATUS_OPTIMAL
-                self._refactor()
-                d = self._reduced_costs(c)
-                confirmed = True
-                continue
-            confirmed = False
-            if bland:
-                q = int(np.argmax(can_enter))
-            else:
-                q = int(np.argmax(np.where(can_enter, np.abs(d), -1.0)))
-            sigma = float(dirv[q])
-
-            alpha = self._ftran_column(q) if m else np.zeros(0)
-            abar = sigma * alpha
-            amax = float(np.abs(alpha).max()) if m else 0.0
-            piv_tol = _PIVOT_TOL * max(1.0, amax)
-
-            lb_b = self.lb[self.basis] if m else np.zeros(0)
-            ub_b = self.ub[self.basis] if m else np.zeros(0)
-            t = np.full(m, np.inf)
-            up = abar > piv_tol
-            dn = abar < -piv_tol
-            with np.errstate(invalid="ignore"):
-                t[up] = (self.beta[up] - lb_b[up]) / abar[up]
-                t[dn] = (self.beta[dn] - ub_b[dn]) / abar[dn]
-            t[np.isnan(t)] = np.inf
-            np.maximum(t, 0.0, out=t)
-            t_row = float(t.min()) if m else np.inf
-            t_limit = float(self.ub[q] - self.lb[q])
-            t_min = min(t_row, t_limit)
-            if not np.isfinite(t_min):
-                return STATUS_UNBOUNDED
-
-            self.iterations += 1
-            since_refactor += 1
-            stall = stall + 1 if t_min <= 1e-10 else 0
-            if stall > _STALL_LIMIT:
-                bland = True
-            if self.iterations > deadline:
-                raise SolverError("iteration limit exceeded")
-
-            if t_limit <= t_row:
-                # entering variable rides to its opposite bound
-                if m:
-                    self.beta -= t_limit * abar
-                self.stat[q] = AT_UB if self.stat[q] == AT_LB else AT_LB
-                dirv[q] = -sigma
-            else:
-                ties = np.nonzero(t <= t_min + 1e-9)[0]
-                if bland:
-                    r = int(ties[np.argmin(self.basis[ties])])
-                else:
-                    r = int(ties[np.argmax(np.abs(abar[ties]))])
-                rho = self._pivot_row(r)
-                arow = self._mat_t_vec(rho)
-                leaving = int(self.basis[r])
-                enter_val = (
-                    self.lb[q] if sigma > 0 else self.ub[q]
-                ) + sigma * t_min
-                self.beta -= t_min * abar
-                dirv[leaving] = self._leave(leaving, to_ub=not abar[r] > 0)
-                self.basis[r] = q
-                self.stat[q] = BASIC
-                dirv[q] = 0.0
-                self.beta[r] = enter_val
-                theta = d[q] / alpha[r]
-                d -= theta * arow
-                d[q] = 0.0
-                self._update_binv(alpha, rho, r)
-            if since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                d = self._reduced_costs(c)
-                since_refactor = 0
 
     def _leave(self, j: int, to_ub: bool) -> float:
         """Make basic column j nonbasic at a bound; returns its direction."""
@@ -589,26 +490,11 @@ class LpWorkspace:
     # -- public entry points ---------------------------------------------
 
     def solve_primal(self) -> str:
-        """Two-phase solve from a fresh slack basis."""
+        """Root solve: the dual simplex from a fresh slack basis."""
         if self.proven_infeasible:
             return STATUS_INFEASIBLE
-        art_cost = self._start_basis()
-        n, m = self.n_struct, self.m
-        art = slice(n + m, n + 2 * m)
-        if np.any(art_cost != 0.0):
-            status = self._primal(art_cost)
-            if status == STATUS_UNBOUNDED:
-                raise SolverError("phase one cannot be unbounded")
-            phase1 = float(art_cost[self.basis] @ self.beta)
-            b_scale = float(np.abs(self.b).max()) if m else 0.0
-            if abs(phase1) > 1e-7 * max(1.0, b_scale):
-                return STATUS_INFEASIBLE
-            self.lb[art] = 0.0
-            self.ub[art] = 0.0
-            artstat = self.stat[art]
-            artstat[artstat != BASIC] = FIXED
-            self.stat[art] = artstat
-        return self._primal(self.c)
+        self._start_basis()
+        return self._dual(self.c)
 
     def set_branch(self, branch: dict[int, tuple[float, float]]) -> bool:
         """Replace the branching bounds; False when they conflict.

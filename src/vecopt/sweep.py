@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .bnb import solve_scenario
@@ -26,24 +26,6 @@ from .types import (
     TIER_VEHICLE,
     VERSION,
 )
-
-CSV_COLUMNS = (
-    "demand_class",
-    "request_count",
-    "total_power_w",
-    "vehicle_power_w",
-    "edge_power_w",
-    "cloud_power_w",
-    "cloud_mips",
-    "baseline_power_w",
-    "saving_pct",
-    "bb_nodes",
-    "lp_iterations",
-    "solve_ms",
-    "status",
-    "objective_w",
-)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -61,6 +43,9 @@ class SweepRow:
     solve_ms: float
     status: str
     objective_w: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -172,6 +157,11 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+# One formatter per CSV column: six significant digits for the float
+# fields, whatever value they hold, and ``str`` for the others.
+_CSV_CELLS = tuple(_fmt if f.type == "float" else str for f in fields(SweepRow))
+
+
 def _normalized_rows(report: SweepReport) -> list[SweepRow]:
     # Measured times vary run to run; emitted documents must not.
     return [replace(row, solve_ms=0.0) for row in report.rows]
@@ -184,61 +174,19 @@ def emit_report(report: SweepReport, fmt: str = "csv") -> str:
         out = io.StringIO()
         out.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
-            out.write(
-                ",".join(
-                    [
-                        r.demand_class,
-                        str(r.request_count),
-                        _fmt(r.total_power_w),
-                        _fmt(r.vehicle_power_w),
-                        _fmt(r.edge_power_w),
-                        _fmt(r.cloud_power_w),
-                        _fmt(r.cloud_mips),
-                        _fmt(r.baseline_power_w),
-                        _fmt(r.saving_pct),
-                        str(r.bb_nodes),
-                        str(r.lp_iterations),
-                        _fmt(r.solve_ms),
-                        r.status,
-                        _fmt(r.objective_w),
-                    ]
-                )
-                + "\n"
+            cells = (
+                cell(getattr(r, name))
+                for cell, name in zip(_CSV_CELLS, CSV_COLUMNS)
             )
+            out.write(",".join(cells) + "\n")
         return out.getvalue()
     if fmt == "json":
         import json
 
         doc = {
             "version": report.version,
-            "options": {
-                "instructions_per_bit": report.options.instructions_per_bit,
-                "cloud_path_energy_per_bit": (
-                    report.options.cloud_path_energy_per_bit
-                ),
-                "cloud_provisioning": report.options.cloud_provisioning,
-                "cloud_server_capacity": report.options.cloud_server_capacity,
-                "dsrc_medium": report.options.dsrc_medium,
-            },
-            "rows": [
-                {
-                    "demand_class": r.demand_class,
-                    "request_count": r.request_count,
-                    "total_power_w": r.total_power_w,
-                    "vehicle_power_w": r.vehicle_power_w,
-                    "edge_power_w": r.edge_power_w,
-                    "cloud_power_w": r.cloud_power_w,
-                    "cloud_mips": r.cloud_mips,
-                    "baseline_power_w": r.baseline_power_w,
-                    "saving_pct": r.saving_pct,
-                    "bb_nodes": r.bb_nodes,
-                    "lp_iterations": r.lp_iterations,
-                    "solve_ms": r.solve_ms,
-                    "status": r.status,
-                    "objective_w": r.objective_w,
-                }
-                for r in rows
-            ],
+            "options": asdict(report.options),
+            "rows": [asdict(r) for r in rows],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

@@ -15,6 +15,7 @@ from vecopt.simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     LpWorkspace,
+    SolverError,
     solve_lp,
 )
 
@@ -132,6 +133,22 @@ def test_infeasible_row_detected():
         scenario=None,
     )
     assert solve_lp(prob).status == STATUS_INFEASIBLE
+
+
+def test_cost_toward_an_infinite_bound_is_refused():
+    # x0 gains from growing without limit: no slack basis is dual feasible
+    prob = MilpProblem(
+        variables=(
+            VarDef("x0", "continuous", 0.0, np.inf, -1.0, "assign", None, "n0"),
+            VarDef("x1", "continuous", 0.0, 1.0, 1.0, "assign", None, "n1"),
+        ),
+        rows=(RowDef("need", ((0, 1.0), (1, 1.0)), ">=", 2.0),),
+        demand_ids=("d0",),
+        node_ids=("n0", "n1"),
+        scenario=None,
+    )
+    with pytest.raises(SolverError):
+        LpWorkspace(prob).solve_primal()
 
 
 def test_matches_reference_on_random_dense_lps():
@@ -346,6 +363,7 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
     m = ws.m
     eye = np.eye(m)
     root_iterations = ws.iterations
+    root_t = ws.t  # the root may stop with a tail in place
     rng = random.Random(6021)
     branch: dict[int, tuple[float, float]] = {}
     for _ in range(12):
@@ -361,7 +379,8 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
         )
 
         pivots = ws.iterations - root_iterations
-        assert ws.t == pivots % simplex._FOLD_EVERY  # one term a pivot
+        # one term a pivot
+        assert ws.t == (root_t + pivots) % simplex._FOLD_EVERY
         B = np.zeros((m, m))
         for k, j in enumerate(ws.basis):
             ridx, vals = ws._column(int(j))

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from vecopt import VERSION
 from vecopt.sweep import (
     CSV_COLUMNS,
     DEFAULT_NODE_LIMIT,
+    SweepReport,
     SweepRow,
     compute_saving,
     emit_report,
@@ -148,3 +150,101 @@ def test_plot_files(tmp_path):
     for path in files:
         assert path.exists()
         assert path.stat().st_size > 0
+
+
+# The exact bytes emitted for a hand-built report mixing float, int and
+# str values: empty tier sums arrive as the int 0, and nan, -0.0 and
+# very large or small floats each have their own spelling.
+GOLDEN_REPORT = SweepReport(
+    rows=(
+        SweepRow(
+            "small", 3, 15.348363636363636, 15.348363636363636, 0.0, 0, 0,
+            243.21728, 93.68938491672583, 7, 1234, 12.5, "optimal",
+            15.348363636363636,
+        ),
+        SweepRow(
+            "medium", 10, 1234567.891, 1.5e-7, 0.1 + 0.2, -0.0, 2880.0, 1e21,
+            -12.345678, 150, 98765, 3.0, "timeout", 1234567.8910001,
+        ),
+        SweepRow(
+            "large", 1, math.nan, math.nan, math.nan, math.nan, math.nan,
+            401.0, math.nan, 1, 0, 0.25, "infeasible", math.nan,
+        ),
+    ),
+    options=ModelOptions(1500.0, 2.5e-7, "per_server", 8000.0, "shared"),
+)
+
+GOLDEN_CSV = """\
+demand_class,request_count,total_power_w,vehicle_power_w,edge_power_w,cloud_power_w,cloud_mips,baseline_power_w,saving_pct,bb_nodes,lp_iterations,solve_ms,status,objective_w
+small,3,15.3484,15.3484,0,0,0,243.217,93.6894,7,1234,0,optimal,15.3484
+medium,10,1.23457e+06,1.5e-07,0.3,-0,2880,1e+21,-12.3457,150,98765,0,timeout,1.23457e+06
+large,1,nan,nan,nan,nan,nan,401,nan,1,0,0,infeasible,nan
+"""
+
+GOLDEN_JSON = """\
+{
+  "version": "0.1.0",
+  "options": {
+    "instructions_per_bit": 1500.0,
+    "cloud_path_energy_per_bit": 2.5e-07,
+    "cloud_provisioning": "per_server",
+    "cloud_server_capacity": 8000.0,
+    "dsrc_medium": "shared"
+  },
+  "rows": [
+    {
+      "demand_class": "small",
+      "request_count": 3,
+      "total_power_w": 15.348363636363636,
+      "vehicle_power_w": 15.348363636363636,
+      "edge_power_w": 0.0,
+      "cloud_power_w": 0,
+      "cloud_mips": 0,
+      "baseline_power_w": 243.21728,
+      "saving_pct": 93.68938491672583,
+      "bb_nodes": 7,
+      "lp_iterations": 1234,
+      "solve_ms": 0.0,
+      "status": "optimal",
+      "objective_w": 15.348363636363636
+    },
+    {
+      "demand_class": "medium",
+      "request_count": 10,
+      "total_power_w": 1234567.891,
+      "vehicle_power_w": 1.5e-07,
+      "edge_power_w": 0.30000000000000004,
+      "cloud_power_w": -0.0,
+      "cloud_mips": 2880.0,
+      "baseline_power_w": 1e+21,
+      "saving_pct": -12.345678,
+      "bb_nodes": 150,
+      "lp_iterations": 98765,
+      "solve_ms": 0.0,
+      "status": "timeout",
+      "objective_w": 1234567.8910001
+    },
+    {
+      "demand_class": "large",
+      "request_count": 1,
+      "total_power_w": NaN,
+      "vehicle_power_w": NaN,
+      "edge_power_w": NaN,
+      "cloud_power_w": NaN,
+      "cloud_mips": NaN,
+      "baseline_power_w": 401.0,
+      "saving_pct": NaN,
+      "bb_nodes": 1,
+      "lp_iterations": 0,
+      "solve_ms": 0.0,
+      "status": "infeasible",
+      "objective_w": NaN
+    }
+  ]
+}
+"""
+
+
+def test_emitted_bytes_match_golden_text():
+    assert emit_report(GOLDEN_REPORT) == GOLDEN_CSV
+    assert emit_report(GOLDEN_REPORT, "json") == GOLDEN_JSON
