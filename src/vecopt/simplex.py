@@ -421,7 +421,7 @@ class LpWorkspace:
                 cand = np.nonzero(scaled > 1.0)[0]
                 r = int(cand[np.argmin(self.basis[cand])])
             else:
-                r = int(np.argmax(scaled))
+                r = int(scaled.argmax())
             above = viol_hi[r] >= viol_lo[r]
             target = ub_b[r] if above else lb_b[r]
             delta = float(self.beta[r] - target)
@@ -431,9 +431,9 @@ class LpWorkspace:
             toward = dirv * arow
             piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(rho).max()))
             if delta > 0:
-                cand = np.flatnonzero(toward > piv_tol)
+                cand = (toward > piv_tol).nonzero()[0]
             else:
-                cand = np.flatnonzero(toward < -piv_tol)
+                cand = (toward < -piv_tol).nonzero()[0]
             if not cand.size:
                 # Re-derive everything from a fresh factorization before
                 # trusting an infeasibility verdict.
@@ -453,7 +453,7 @@ class LpWorkspace:
             if bland:
                 q = int(ties[0])
             else:
-                q = int(ties[np.argmax(np.abs(arow[ties]))])
+                q = int(ties[np.abs(arow[ties]).argmax()])
 
             self.iterations += 1
             since_refactor += 1
