@@ -22,6 +22,13 @@ one term in O(m); one matrix product folds a full tail into the base,
 and a refactorization replaces both.  Pivot tolerances are relative to
 the vectors they test, so they hold whatever roundoff the tail leaves.
 
+A refactorization inverts only the basis kernel, after the first step of
+Suhl & Suhl (1990): a basic slack is a unit column, so B is a unit block
+on the rows the basic slacks cover and a square kernel where the basic
+structural columns meet the remaining rows.  LAPACK inverts the kernel
+(about half of m on the placement models); one product with the kernel's
+inverse gives the slack rows of B^-1, and the rest is identity or zero.
+
 Solves min c'x subject to row constraints and variable bounds.  Binary
 variables from the MILP arrive here already relaxed to their bounds.
 """
@@ -272,18 +279,55 @@ class LpWorkspace:
         self._basis_ready = True
 
     def _refactor(self):
-        m = self.m
+        """Invert the basis afresh through its structural kernel.
+
+        Basic slack positions S hold unit columns, e_i at row i =
+        basis[p] - n; the structural positions K meet the rows R that no
+        basic slack covers, so |R| = |K|.  With M = (B_RK)^-1,
+
+            B^-1[K, R] = M,  B^-1[S, R] = -B_{rows(S),K} M,
+            B^-1[S, rows(S)] = I,  and zero elsewhere,
+
+        so one LAPACK call on the k x k kernel replaces one on all of B.
+        The new base ``Bt`` is B^-T, written block by block; the tail is
+        emptied and the basic values recomputed.
+        """
+        m, n = self.m, self.n_struct
         if m == 0:
             return
-        # Row k of B' is basis column k, and inv(B') is B^-T, the new base.
-        Bt = np.zeros((m, m))
-        for k in range(m):
-            ridx, vals = self._column(int(self.basis[k]))
-            Bt[k, ridx] = vals
+        slack = self.basis >= n
+        S = slack.nonzero()[0]
+        K = (~slack).nonzero()[0]
+        srow = self.basis[S] - n
+        covered = np.zeros(m, dtype=bool)
+        covered[srow] = True
+        R = (~covered).nonzero()[0]
+        k = K.size
+        # Rows renumbered R first, then rows(S) in the order of S: row kk
+        # of C is basis column K[kk], so C = [B_RK' | B_SK'].
+        newrow = np.empty(m, dtype=np.intp)
+        newrow[R] = np.arange(k)
+        newrow[srow] = np.arange(k, m)
+        cols = self.basis[K]
+        starts = self.col_ptr[cols]
+        lens = self.col_ptr[cols + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        idx = np.arange(lens.sum()) + np.repeat(starts - offsets, lens)
+        C = np.zeros((k, m))
+        C[np.repeat(np.arange(k), lens), newrow[self.A_rows[idx]]] = (
+            self.A_vals[idx]
+        )
         try:
-            self.Bt = np.linalg.inv(Bt)
+            Mt = np.linalg.inv(C[:, :k])  # M' = (B_RK')^-1
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis: {exc}") from None
+        Bt = np.zeros((m, m))
+        top = np.empty((k, m))
+        top[:, K] = Mt
+        top[:, S] = -(Mt @ C[:, k:])
+        Bt[R] = top
+        Bt[srow, S] = 1.0
+        self.Bt = Bt
         self.t = 0
         v = self._nonbasic_values()
         self.beta = self._ftran(self.b - self._mat_vec(v))

@@ -347,6 +347,15 @@ def test_warm_dives_survive_branch_conflicts(seed):
     cutoff_dive(prob, ws, random.Random(seed), per_step=8)
 
 
+def dense_basis(ws: LpWorkspace) -> np.ndarray:
+    """The basis matrix B, column k the extended column basis[k]."""
+    B = np.zeros((ws.m, ws.m))
+    for k, j in enumerate(ws.basis):
+        ridx, vals = ws._column(int(j))
+        B[ridx, k] = vals
+    return B
+
+
 def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
     """The base plus tail form of B^-1 stays exact over many folds.
 
@@ -360,6 +369,9 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
     ws = LpWorkspace(prob)
     assert ws.solve_primal() == STATUS_OPTIMAL
     monkeypatch.setattr(ws, "_refactor", lambda: pytest.fail("refactored"))
+    # A single solve may pass the pivot count that forces a refactorization
+    # on some BLAS thread counts (pivot paths differ in the last bits).
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
     m = ws.m
     eye = np.eye(m)
     root_iterations = ws.iterations
@@ -381,10 +393,7 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
         pivots = ws.iterations - root_iterations
         # one term a pivot
         assert ws.t == (root_t + pivots) % simplex._FOLD_EVERY
-        B = np.zeros((m, m))
-        for k, j in enumerate(ws.basis):
-            ridx, vals = ws._column(int(j))
-            B[ridx, k] = vals
+        B = dense_basis(ws)
         binv = np.linalg.inv(B)
         rows = np.array([ws._pivot_row(r) for r in range(m)])
         cols = np.column_stack([ws._ftran_column(int(j)) for j in ws.basis])
@@ -394,6 +403,54 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
         assert np.abs(ws._ftran(B) - eye).max() <= 1e-8
         assert np.abs(ws._btran(B.T) - eye).max() <= 1e-8
     assert pivots >= 3 * simplex._FOLD_EVERY
+
+
+def test_refactor_matches_a_full_inverse():
+    """The kernel factorization gives the inverse of the whole basis.
+
+    Checked on the all-slack basis (an empty kernel), the large@10 root
+    basis and the bases along a warm dive on small@6, where slack and
+    structural positions mix.  A basis that holds one structural column
+    twice is singular and must be refused.
+    """
+
+    def check(ws: LpWorkspace):
+        binv = np.linalg.inv(dense_basis(ws))
+        ws._refactor()
+        assert ws.t == 0
+        assert np.abs(ws.Bt - binv.T).max() <= 1e-10 * np.abs(binv).max()
+
+    ws = LpWorkspace(build_milp(build_reference_scenario("large", 10)))
+    ws._start_basis()
+    check(ws)
+    assert np.array_equal(ws.Bt, np.eye(ws.m))
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    kernel = int((ws.basis < ws.n_struct).sum())
+    assert 0 < kernel < ws.m
+    check(ws)
+
+    prob = build_milp(build_reference_scenario("small", 6))
+    binaries = list(prob.binary_indices())
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    check(ws)
+    rng = random.Random(6021)
+    branch: dict[int, tuple[float, float]] = {}
+    checked = 0
+    for _ in range(8):
+        j = int(rng.choice(binaries))
+        branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
+        if not ws.set_branch(branch) or ws.solve_dual() != STATUS_OPTIMAL:
+            del branch[j]  # back out of the dead end and dive on
+            continue
+        check(ws)
+        checked += 1
+    assert checked >= 4
+
+    ws._start_basis()
+    ws.basis[:2] = int(binaries[0])  # one structural column, twice
+    with pytest.raises(SolverError, match="singular basis"):
+        ws._refactor()
 
 
 def test_branch_conflict_is_reported():
