@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .milp import (
+    FEAS_TOL,
     MilpProblem,
+    assignment_from_placement,
     build_milp,
+    check_assignment,
     clean_assignment,
     cleanup_arrays,
     extract_placement,
@@ -31,8 +34,6 @@ from .simplex import (
 from .types import Placement, PlacementError, Scenario
 
 STATUS_TIMEOUT = "timeout"
-
-_INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -60,46 +61,6 @@ class MilpSolution:
     placement: Placement
     assignment: np.ndarray | None
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-class _RowChecker:
-    """Vectorized feasibility check of full assignment vectors."""
-
-    def __init__(self, problem: MilpProblem):
-        rr, cc, vv = [], [], []
-        senses, rhs = [], []
-        for i, row in enumerate(problem.rows):
-            for j, c in row.coeffs:
-                rr.append(i)
-                cc.append(j)
-                vv.append(c)
-            senses.append(row.sense)
-            rhs.append(row.rhs)
-        self.m = len(problem.rows)
-        self.rr = np.asarray(rr, dtype=np.intp)
-        self.cc = np.asarray(cc, dtype=np.intp)
-        self.vv = np.asarray(vv, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.scale = np.maximum(1.0, np.abs(self.rhs))
-        sense_arr = np.asarray(senses)
-        self.is_le = sense_arr == "<="
-        self.is_ge = sense_arr == ">="
-        self.is_eq = sense_arr == "="
-        self.lb = np.array([v.lower for v in problem.variables])
-        self.ub = np.array([v.upper for v in problem.variables])
-
-    def feasible(self, v: np.ndarray, tol: float = 1e-6) -> bool:
-        if np.any(v < self.lb - tol) or np.any(v > self.ub + tol):
-            return False
-        lhs = np.bincount(self.rr, weights=v[self.cc] * self.vv, minlength=self.m)
-        slack = tol * self.scale
-        if np.any(self.is_le & (lhs > self.rhs + slack)):
-            return False
-        if np.any(self.is_ge & (lhs < self.rhs - slack)):
-            return False
-        if np.any(self.is_eq & (np.abs(lhs - self.rhs) > slack)):
-            return False
-        return True
 
 
 def _key_of(v: np.ndarray, binaries: np.ndarray) -> list[int]:
@@ -150,7 +111,6 @@ def branch_and_bound(
         return done(STATUS_INFEASIBLE, float("nan"), None)
 
     binaries = problem.binary_indices()
-    checker = _RowChecker(problem)
     cleanup = cleanup_arrays(problem)
     cvec = problem.objective_vector()
 
@@ -189,17 +149,13 @@ def branch_and_bound(
     inc_vec: np.ndarray | None = None
     inc_obj = np.inf
     inc_key: list[int] = []
-    if options.initial_assignment is not None:
-        cand = np.asarray(options.initial_assignment, dtype=float)
-        if checker.feasible(cand):
-            inc_vec = cand
-            inc_obj = float(cvec @ cand)
-            inc_key = _key_of(cand, binaries)
-
     gap = options.absolute_gap
 
     def consider(vec: np.ndarray):
+        """Keep vec as the incumbent if it is feasible and beats it."""
         nonlocal inc_vec, inc_obj, inc_key
+        if check_assignment(problem, vec):
+            return
         obj = float(cvec @ vec)
         if inc_vec is None or obj < inc_obj - 1e-9:
             inc_vec, inc_obj, inc_key = vec, obj, _key_of(vec, binaries)
@@ -214,15 +170,16 @@ def branch_and_bound(
         Any relaxation, integral or not, is cleaned into a placement read
         off its positive x entries and offered as an incumbent.
         """
-        cleaned = clean_assignment(problem, values, cleanup)
-        if checker.feasible(cleaned):
-            consider(cleaned)
+        consider(clean_assignment(problem, values, cleanup))
         bin_vals = values[binaries]
         frac = np.abs(bin_vals - np.round(bin_vals))
-        cand = np.nonzero(frac > _INTEGRALITY_TOL)[0]
+        cand = np.nonzero(frac > FEAS_TOL)[0]
         if cand.size == 0:
             return None
         return [int(binaries[k]) for k in cand]
+
+    if options.initial_assignment is not None:
+        consider(np.asarray(options.initial_assignment, dtype=float))
 
     heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
     counter = 0
@@ -309,8 +266,6 @@ def solve_scenario(
     absolute_gap: float = 1e-6,
 ) -> MilpSolution:
     """Build the model, seed the baseline incumbent, and solve exactly."""
-    from .milp import assignment_from_placement
-
     problem = build_milp(scenario)
     initial = None
     try:

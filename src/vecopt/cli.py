@@ -13,6 +13,7 @@ from .check import cross_check
 from .power import cloud_only_baseline, evaluate_placement, sig
 from .scenario import (
     CLASS_ORDER,
+    VEHICLE_COUNT,
     build_reference_scenario,
     load_scenario,
     serialize_scenario,
@@ -93,7 +94,23 @@ def _parse_counts(text: str) -> tuple[int, ...]:
             counts.append(int(part))
     if not counts:
         raise ValueError(f"no request counts in {text!r}")
+    for count in counts:
+        if not 0 <= count <= VEHICLE_COUNT:
+            raise ValueError(f"request count {count} is outside 0..{VEHICLE_COUNT}")
     return tuple(dict.fromkeys(counts))
+
+
+def _positive(kind: type):
+    """An argparse type: a number of ``kind`` that is greater than zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in its messages
+    return parse
 
 
 def _parse_classes(text: str) -> tuple[str, ...]:
@@ -191,14 +208,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_sweep(
-        classes,
-        counts,
-        _model_options(args),
-        workers=args.workers,
-        time_limit_s=args.time_limit,
-        node_limit=args.node_limit,
-    )
+    try:
+        report = run_sweep(
+            classes,
+            counts,
+            _model_options(args),
+            workers=args.workers,
+            time_limit_s=args.time_limit,
+            node_limit=args.node_limit,
+        )
+    except ScenarioError as exc:  # a model option the scenarios refuse
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_out(emit_report(report, args.format), args.out)
     if args.out and args.out != "-":
         write_plot_files(report, Path(args.out).with_suffix(""))
@@ -268,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS"
+        "--time-limit", type=_positive(float), default=None, metavar="SECONDS"
     )
     p.add_argument(
         "--node-limit",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="stop after exploring N branch-and-bound nodes",
@@ -290,17 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=max(1, os.cpu_count() or 1),
         metavar="N",
         help="parallel solver processes; never affects the numbers",
     )
     p.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS"
+        "--time-limit", type=_positive(float), default=None, metavar="SECONDS"
     )
     p.add_argument(
         "--node-limit",
-        type=int,
+        type=_positive(int),
         default=DEFAULT_NODE_LIMIT,
         metavar="N",
         help="deterministic per-point budget in branch-and-bound nodes",
@@ -314,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-nodes", type=int, default=6)
-    p.add_argument("--max-demands", type=int, default=3)
+    p.add_argument("--max-nodes", type=_positive(int), default=6)
+    p.add_argument("--max-demands", type=_positive(int), default=3)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -19,6 +19,10 @@ Rows:
 The objective prices activation at idle power, processing at 1/efficiency,
 and serving at the full-traffic replication cost along the fixed route.
 
+``MilpProblem.sparse``, built once from the rows and variables, holds the
+model as arrays.  The LP workspace, the assignment checks and the
+interchange export all read that one form.
+
 The module also detects groups of interchangeable nodes (identical spec,
 identical route costs from every source, no relay or bandwidth
 entanglement).  The groups do not change the model; the search layer uses
@@ -27,8 +31,9 @@ them to skip permutation duplicates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,9 +50,12 @@ ROLE_ASSIGN = "assign"
 ROLE_SERVE = "serve"
 ROLE_ACTIVATE = "activate"
 
+# How far an assignment may stray from a bound, from integrality, or from
+# a row (there scaled by max(1, |rhs|)) and still count as feasible.
+FEAS_TOL = 1e-6
 
-class ModelError(ValueError):
-    """The scenario cannot be turned into a well-formed model."""
+SENSE_LE, SENSE_GE, SENSE_EQ = 0, 1, 2
+_SENSE_CODE = {"<=": SENSE_LE, ">=": SENSE_GE, "=": SENSE_EQ}
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,25 @@ class RowDef:
     coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
     sense: str  # "<=", ">=", "="
     rhs: float
+
+
+@dataclass(frozen=True)
+class SparseForm:
+    """A model as read-only arrays.
+
+    The entries are COO triplets in row order, each row's coefficients in
+    the order the row lists them, zeros included.
+    """
+
+    row: np.ndarray  # (nnz,) row of each entry
+    col: np.ndarray  # (nnz,) variable of each entry
+    val: np.ndarray  # (nnz,) coefficient
+    sense: np.ndarray  # (m,) SENSE_LE, SENSE_GE or SENSE_EQ
+    rhs: np.ndarray  # (m,)
+    lb: np.ndarray  # (n,) variable bounds
+    ub: np.ndarray  # (n,)
+    c: np.ndarray  # (n,) objective
+    binary: np.ndarray  # (n,) bool
 
 
 @dataclass(frozen=True)
@@ -97,14 +124,31 @@ class MilpProblem:
     def a_index(self, n: int) -> int:
         return 2 * self.n_demands * self.n_nodes + n
 
-    def binary_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, v in enumerate(self.variables) if v.kind == "binary"],
-            dtype=np.int64,
+    @functools.cached_property
+    def sparse(self) -> SparseForm:
+        """The model as arrays; the only reader of ``RowDef.coeffs``."""
+        rows, variables = self.rows, self.variables
+        entries = [e for r in rows for e in r.coeffs]
+        form = SparseForm(
+            row=np.repeat(np.arange(len(rows)), [len(r.coeffs) for r in rows]),
+            col=np.array([j for j, _ in entries], dtype=np.intp),
+            val=np.array([c for _, c in entries], dtype=float),
+            sense=np.array([_SENSE_CODE[r.sense] for r in rows], dtype=np.int8),
+            rhs=np.array([r.rhs for r in rows], dtype=float),
+            lb=np.array([v.lower for v in variables], dtype=float),
+            ub=np.array([v.upper for v in variables], dtype=float),
+            c=np.array([v.objective for v in variables], dtype=float),
+            binary=np.array([v.kind == "binary" for v in variables], dtype=bool),
         )
+        for array in vars(form).values():
+            array.flags.writeable = False
+        return form
+
+    def binary_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.sparse.binary)
 
     def objective_vector(self) -> np.ndarray:
-        return np.array([v.objective for v in self.variables])
+        return self.sparse.c.copy()
 
 
 def route_energy_per_bit(scenario: Scenario, src: str, dst: str) -> float:
@@ -415,26 +459,39 @@ def build_milp(scenario: Scenario) -> MilpProblem:
     )
 
 
-def check_assignment(
-    problem: MilpProblem, values: Sequence[float], tol: float = 1e-6
-) -> list[str]:
+def _fractional(form: SparseForm, v: np.ndarray) -> np.ndarray:
+    """Mask of the binaries farther than FEAS_TOL from 0 and from 1."""
+    return form.binary & (np.minimum(np.abs(v), np.abs(v - 1)) > FEAS_TOL)
+
+
+_VIOLATED = (">", "<", "!=")  # a violated row's relation, by sense code
+
+
+def check_assignment(problem: MilpProblem, values: Sequence[float]) -> list[str]:
     """Row and bound violations of a full assignment vector."""
+    form = problem.sparse
     v = np.asarray(values, dtype=float)
+    out_of_bounds = (v < form.lb - FEAS_TOL) | (v > form.ub + FEAS_TOL)
+    fractional = _fractional(form, v)
     out = []
-    for i, var in enumerate(problem.variables):
-        if v[i] < var.lower - tol or v[i] > var.upper + tol:
-            out.append(f"{var.name}: value {v[i]:g} outside bounds")
-        if var.kind == "binary" and min(abs(v[i]), abs(v[i] - 1)) > tol:
-            out.append(f"{var.name}: value {v[i]:g} not integral")
-    for row in problem.rows:
-        lhs = sum(c * v[j] for j, c in row.coeffs)
-        scale = max(1.0, abs(row.rhs))
-        if row.sense == "<=" and lhs > row.rhs + tol * scale:
-            out.append(f"{row.label}: {lhs:g} > {row.rhs:g}")
-        elif row.sense == ">=" and lhs < row.rhs - tol * scale:
-            out.append(f"{row.label}: {lhs:g} < {row.rhs:g}")
-        elif row.sense == "=" and abs(lhs - row.rhs) > tol * scale:
-            out.append(f"{row.label}: {lhs:g} != {row.rhs:g}")
+    for i in np.flatnonzero(out_of_bounds | fractional):
+        name = problem.variables[i].name
+        if out_of_bounds[i]:
+            out.append(f"{name}: value {v[i]:g} outside bounds")
+        if fractional[i]:
+            out.append(f"{name}: value {v[i]:g} not integral")
+    rhs = form.rhs
+    lhs = np.bincount(
+        form.row, weights=v[form.col] * form.val, minlength=rhs.size
+    )
+    slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
+    violated = np.choose(
+        form.sense,
+        (lhs > rhs + slack, lhs < rhs - slack, np.abs(lhs - rhs) > slack),
+    )
+    for i in np.flatnonzero(violated):
+        op = _VIOLATED[form.sense[i]]
+        out.append(f"{problem.rows[i].label}: {lhs[i]:g} {op} {rhs[i]:g}")
     return out
 
 
@@ -442,7 +499,6 @@ def extract_placement(
     problem: MilpProblem,
     values: Sequence[float],
     threshold: float = 1e-9,
-    integrality_tol: float = 1e-6,
 ) -> Placement:
     """Read a placement out of a solved assignment vector.
 
@@ -450,11 +506,13 @@ def extract_placement(
     not from y and a, so slack activations are dropped.
     """
     v = np.asarray(values, dtype=float)
-    for i, var in enumerate(problem.variables):
-        if var.kind == "binary" and min(abs(v[i]), abs(v[i] - 1)) > integrality_tol:
-            raise PlacementError(
-                f"{var.name}: fractional value {v[i]:g} in integer assignment"
-            )
+    fractional = np.flatnonzero(_fractional(problem.sparse, v))
+    if fractional.size:
+        i = fractional[0]
+        raise PlacementError(
+            f"{problem.variables[i].name}: fractional value {v[i]:g} "
+            "in integer assignment"
+        )
     x: dict[tuple[str, str], float] = {}
     for d, demand_id in enumerate(problem.demand_ids):
         for n, node_id in enumerate(problem.node_ids):
@@ -560,15 +618,20 @@ def to_fixed_format(problem: MilpProblem, name: str = "VECOPT") -> str:
             .replace(">", "_")
         )
 
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
+    form = problem.sparse
+    labels = [ident(row.label) for row in problem.rows]
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    for row in problem.rows:
-        lines.append(f" {sense_tag[row.sense]}  {ident(row.label)}")
+    for label, code in zip(labels, form.sense.tolist()):
+        lines.append(f" {'LGE'[code]}  {label}")
 
-    by_var: dict[int, list[tuple[str, float]]] = {}
-    for row in problem.rows:
-        for j, coeff in row.coeffs:
-            by_var.setdefault(j, []).append((ident(row.label), coeff))
+    # A stable sort of the row-ordered triplets by column lists each
+    # column's entries in row order.  Every number is printed from the
+    # form's float arrays, and ``tolist`` hands repr plain floats.
+    by_col = np.argsort(form.col, kind="stable")
+    entries = list(zip(form.row[by_col].tolist(), form.val[by_col].tolist()))
+    counts = np.bincount(form.col, minlength=len(problem.variables))
+    starts = np.cumsum(counts) - counts
+    cost, lb, ub = form.c.tolist(), form.lb.tolist(), form.ub.tolist()
 
     lines.append("COLUMNS")
     in_int = False
@@ -581,28 +644,28 @@ def to_fixed_format(problem: MilpProblem, name: str = "VECOPT") -> str:
             )
             in_int = not in_int
             marker += 1
-        entries = [("COST", var.objective)] + by_var.get(j, [])
         col = ident(var.name)
-        for row_name, coeff in entries:
-            lines.append(f"    {col:<24}{row_name:<24}{coeff!r}")
+        lines.append(f"    {col:<24}{'COST':<24}{cost[j]!r}")
+        for i, coeff in entries[starts[j] : starts[j] + counts[j]]:
+            lines.append(f"    {col:<24}{labels[i]:<24}{coeff!r}")
     if in_int:
         lines.append(
             f"    MARKER{marker:<8}'MARKER'                 'INTEND'"
         )
 
     lines.append("RHS")
-    for row in problem.rows:
-        if row.rhs != 0.0:
-            lines.append(f"    RHS{'':<21}{ident(row.label):<24}{row.rhs!r}")
+    for label, rhs in zip(labels, form.rhs.tolist()):
+        if rhs != 0.0:
+            lines.append(f"    RHS{'':<21}{label:<24}{rhs!r}")
 
     lines.append("BOUNDS")
-    for var in problem.variables:
+    for j, var in enumerate(problem.variables):
         col = ident(var.name)
         if var.kind == "binary":
             lines.append(f" BV BND{'':<21}{col}")
         else:
-            if var.lower != 0.0:
-                lines.append(f" LO BND{'':<21}{col:<24}{var.lower!r}")
-            lines.append(f" UP BND{'':<21}{col:<24}{var.upper!r}")
+            if lb[j] != 0.0:
+                lines.append(f" LO BND{'':<21}{col:<24}{lb[j]!r}")
+            lines.append(f" UP BND{'':<21}{col:<24}{ub[j]!r}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import MilpProblem
+from .milp import SENSE_EQ, SENSE_GE, MilpProblem
 
 AT_LB, AT_UB, BASIC, FIXED = 0, 1, 2, 3
 
@@ -72,68 +72,62 @@ class LpSolution:
     iterations: int
 
 
-def _fold_singletons(
-    rows: list[tuple[list[tuple[int, float]], str, float]],
+def _fold_rows(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    rhs: np.ndarray,
+    eq: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
-) -> tuple[list[tuple[list[tuple[int, float]], str, float]], bool]:
+) -> np.ndarray | None:
     """Move single-variable rows into bounds; drop rows nothing can violate.
 
-    Returns the surviving rows and whether the bounds already prove
-    infeasibility.  Dropping is conservative: a row goes only when its
-    extreme activity over the current bounds cannot cross the right-hand
-    side, which stays true under any later bound tightening.
+    The rows are <= rows, or = rows where ``eq``, given as nonzero
+    triplets in row order.  Tightens ``lb`` and ``ub`` in place and
+    returns the mask of the rows that stay, or None when the rows and
+    bounds already prove infeasibility.  Dropping is conservative: a row
+    goes only when its extreme activity over the current bounds cannot
+    cross the right-hand side, which stays true under any later bound
+    tightening.
     """
-    kept = []
-    for coeffs, sense, rhs in rows:
-        coeffs = [(j, c) for j, c in coeffs if c != 0.0]
-        if not coeffs:
-            ok = (
-                (sense == "<=" and rhs >= -1e-9)
-                or (sense == ">=" and rhs <= 1e-9)
-                or (sense == "=" and abs(rhs) <= 1e-9)
-            )
-            if not ok:
-                return [], True
-            continue
-        if len(coeffs) == 1:
-            j, c = coeffs[0]
-            val = rhs / c
-            tighten_ub = (sense == "<=" and c > 0) or (sense == ">=" and c < 0)
-            tighten_lb = (sense == "<=" and c < 0) or (sense == ">=" and c > 0)
-            if sense == "=":
-                tighten_ub = tighten_lb = True
-            if tighten_ub:
-                ub[j] = min(ub[j], val)
-            if tighten_lb:
-                lb[j] = max(lb[j], val)
-            continue
-        kept.append((coeffs, sense, rhs))
-    if np.any(lb > ub + 1e-9):
-        return [], True
+    count = np.bincount(rows, minlength=rhs.size)
+    holds = np.where(eq, np.abs(rhs) <= 1e-9, rhs >= -1e-9)
+    if np.any((count == 0) & ~holds):
+        return None
 
-    surviving = []
-    for coeffs, sense, rhs in kept:
-        hi = sum(c * (ub[j] if c > 0 else lb[j]) for j, c in coeffs)
-        lo = sum(c * (lb[j] if c > 0 else ub[j]) for j, c in coeffs)
-        scale = max(1.0, abs(rhs))
-        if sense == "<=":
-            if hi <= rhs + 1e-9 * scale:
-                continue
-            if lo > rhs + 1e-9 * scale:
-                return [], True
-        elif sense == ">=":
-            if lo >= rhs - 1e-9 * scale:
-                continue
-            if hi < rhs - 1e-9 * scale:
-                return [], True
-        else:
-            if abs(hi - rhs) <= 1e-9 * scale and abs(lo - rhs) <= 1e-9 * scale:
-                continue
-            if lo > rhs + 1e-9 * scale or hi < rhs - 1e-9 * scale:
-                return [], True
-        surviving.append((coeffs, sense, rhs))
-    return surviving, False
+    single = count[rows] == 1
+    j, c = cols[single], vals[single]
+    at = rhs[rows[single]] / c
+    caps = eq[rows[single]] | (c > 0)
+    floors = eq[rows[single]] | (c < 0)
+    # A bound moves only when strictly tightened, so an equal value (-0.0
+    # against 0.0, say) leaves it as it was.
+    cap = np.full(ub.size, np.inf)
+    floor = np.full(lb.size, -np.inf)
+    np.minimum.at(cap, j[caps], at[caps])
+    np.maximum.at(floor, j[floors], at[floors])
+    np.copyto(ub, cap, where=cap < ub)
+    np.copyto(lb, floor, where=floor > lb)
+    if np.any(lb > ub + 1e-9):
+        return None
+
+    # Extreme row activities, summed entry by entry in row order.
+    x_hi = np.where(vals > 0, ub[cols], lb[cols])
+    x_lo = np.where(vals > 0, lb[cols], ub[cols])
+    hi = np.bincount(rows, weights=vals * x_hi, minlength=rhs.size)
+    lo = np.bincount(rows, weights=vals * x_lo, minlength=rhs.size)
+    tol = 1e-9 * np.maximum(1.0, np.abs(rhs))
+    redundant = np.where(
+        eq,
+        (np.abs(hi - rhs) <= tol) & (np.abs(lo - rhs) <= tol),
+        hi <= rhs + tol,
+    )
+    violated = (lo > rhs + tol) | (eq & (hi < rhs - tol))
+    kept = (count >= 2) & ~redundant
+    if np.any(kept & violated):
+        return None
+    return kept
 
 
 class LpWorkspace:
@@ -150,64 +144,55 @@ class LpWorkspace:
         var_bounds: dict[int, tuple[float, float]] | None = None,
     ):
         self.problem = problem
-        n = len(problem.variables)
+        form = problem.sparse
+        n = form.c.size
         self.n_struct = n
-        lb = np.array([v.lower for v in problem.variables], dtype=float)
-        ub = np.array([v.upper for v in problem.variables], dtype=float)
+        lb, ub = form.lb.copy(), form.ub.copy()
         if var_bounds:
             for j, (lo, hi) in var_bounds.items():
                 lb[j] = max(lb[j], lo)
                 ub[j] = min(ub[j], hi)
 
-        raw_rows = [(list(r.coeffs), r.sense, r.rhs) for r in problem.rows]
-        rows, infeasible = _fold_singletons(raw_rows, lb, ub)
-        self.proven_infeasible = infeasible
+        # Each row as <= or =: a >= row is negated.  Zero coefficients
+        # are dropped.
+        sign = np.where(form.sense == SENSE_GE, -1.0, 1.0)
+        eq = form.sense == SENSE_EQ
+        rhs = form.rhs * sign
+        nonzero = form.val != 0.0
+        rows, cols = form.row[nonzero], form.col[nonzero]
+        vals = form.val[nonzero] * sign[rows]
 
-        m = len(rows)
+        kept = _fold_rows(rows, cols, vals, rhs, eq, lb, ub)
+        self.proven_infeasible = kept is None
+        if kept is None:
+            kept = np.zeros(rhs.size, dtype=bool)
+        m = int(kept.sum())
         self.m = m
         ncols = n + m  # structurals, slacks
         self.ncols = ncols
 
-        coo_r: list[int] = []
-        coo_c: list[int] = []
-        coo_v: list[float] = []
-        b = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, (coeffs, sense, rhs) in enumerate(rows):
-            if sense == ">=":  # normalize to <=
-                coeffs = [(j, -c) for j, c in coeffs]
-                rhs = -rhs
-                sense = "<="
-            scale = max(abs(c) for _, c in coeffs)
-            for j, c in coeffs:
-                coo_r.append(i)
-                coo_c.append(j)
-                coo_v.append(c / scale)
-            b[i] = rhs / scale
-            slack_ub[i] = np.inf if sense == "<=" else 0.0
-        for i in range(m):  # slack columns
-            coo_r.append(i)
-            coo_c.append(n + i)
-            coo_v.append(1.0)
+        # The kept rows renumbered, each scaled by its largest coefficient.
+        entry = kept[rows]
+        rows = (np.cumsum(kept) - 1)[rows[entry]]
+        cols, vals = cols[entry], vals[entry]
+        scale = np.zeros(m)
+        np.maximum.at(scale, rows, np.abs(vals))
+        self.b = rhs[kept] / scale
+        slack_ub = np.where(eq[kept], 0.0, np.inf)
 
-        order = np.lexsort((np.asarray(coo_r), np.asarray(coo_c)))
-        self.A_rows = np.asarray(coo_r, dtype=np.intp)[order]
-        self.A_cols = np.asarray(coo_c, dtype=np.intp)[order]
-        self.A_vals = np.asarray(coo_v, dtype=float)[order]
+        # Column-major triplets: the structural entries by column (rows
+        # ascending within each), then one unit entry per slack column.
+        order = np.argsort(cols, kind="stable")
+        self.A_rows = np.concatenate([rows[order], np.arange(m)])
+        self.A_cols = np.concatenate([cols[order], np.arange(n, ncols)])
+        self.A_vals = np.concatenate([(vals / scale[rows])[order], np.ones(m)])
         self.col_ptr = np.searchsorted(self.A_cols, np.arange(ncols + 1))
-        self.b = b
 
         self.lb = np.concatenate([lb, np.zeros(m)])
         self.ub = np.concatenate([ub, slack_ub])
         self.root_lb = self.lb[:n].copy()
         self.root_ub = self.ub[:n].copy()
-
-        self.c = np.concatenate(
-            [
-                np.array([v.objective for v in problem.variables]),
-                np.zeros(m),
-            ]
-        )
+        self.c = np.concatenate([form.c, np.zeros(m)])
         self.iterations = 0
         self._branch: dict[int, tuple[float, float]] = {}
         self._conflict = False  # the last set_branch emptied a bound

@@ -241,6 +241,28 @@ def test_sweep_rejects_unknown_class(capsys):
     assert "unknown class" in err
 
 
+@pytest.mark.parametrize("spec", ["21", "19:21", "-1", "1,25"])
+def test_sweep_rejects_counts_out_of_range(capsys, spec):
+    code, out, err = run(
+        capsys, "sweep", "--classes", "small", "--requests", spec,
+        "--workers", "1",
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "outside 0..20" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_sweep_rejects_a_bad_model_option(capsys, value):
+    code, out, err = run(
+        capsys, "sweep", "--classes", "small", "--requests", "1",
+        "--workers", "1", "--cloud-energy-per-bit", value,
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "energy" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_sweep_request_spellings(capsys):
     for spec, expect in (("3", [3]), ("2:4", [2, 3, 4]), ("1,3", [1, 3])):
         code, out, _ = run(
@@ -275,7 +297,28 @@ def test_validate_rejects_oversized_search(capsys):
     assert "exhaustive" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
     assert run(capsys, "scenario", "--class", "small")[0] == EXIT_USAGE
+    # Numeric flags out of range are refused before any work starts.
+    path = str(write_scenario(tmp_path))
+    capsys.readouterr()
+    for argv in (
+        ["solve", path, "--node-limit", "-3"],
+        ["solve", path, "--node-limit", "0"],
+        ["solve", path, "--time-limit", "0"],
+        ["solve", path, "--time-limit", "-1.5"],
+        ["solve", path, "--time-limit", "nan"],
+        ["sweep", "--requests", "1", "--node-limit", "-3"],
+        ["sweep", "--requests", "1", "--time-limit", "0"],
+        ["sweep", "--requests", "1", "--workers", "-4"],
+        ["sweep", "--requests", "1", "--workers", "0"],
+        ["validate", "--max-nodes", "-3", "--max-demands", "-3"],
+        ["validate", "--max-nodes", "0"],
+        ["validate", "--max-demands", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "error: argument" in err and "must be > 0" in err, argv
+        assert out == "", argv

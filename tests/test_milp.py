@@ -1,5 +1,6 @@
 """Model construction: variables, rows, costs, and assignment helpers."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,9 @@ from vecopt.milp import (
     ROLE_ACTIVATE,
     ROLE_ASSIGN,
     ROLE_SERVE,
+    MilpProblem,
+    RowDef,
+    VarDef,
     assignment_from_placement,
     build_milp,
     check_assignment,
@@ -270,6 +274,44 @@ def test_fixed_format_sections():
     cols_at = lines.index("COLUMNS")
     assert cols_at - rows_at - 1 == len(prob.rows) + 1
     assert to_fixed_format(prob) == text
+
+
+def test_fixed_format_bytes_are_pinned():
+    # Digest of the medium@3 export: it moves with any changed coefficient,
+    # number spelling (a repr of np.float64 in place of float, say) or
+    # line order in any section.
+    text = to_fixed_format(build_milp(build_reference_scenario("medium", 3)))
+    assert len(text.splitlines()) == 1350
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "87354da64b7e0c9f1f27b437f334e92d3694e92948ffb654bb89493f9fb07df3"
+    )
+
+
+def test_fixed_format_spells_every_number_as_a_float():
+    # A scenario file may give whole numbers as JSON integers; the export
+    # spells a value the same way whichever type it arrived as.
+    prob = MilpProblem(
+        variables=(
+            VarDef("x[d0,n0]", "continuous", 1, 5, 2, "assign", "d0", "n0"),
+            VarDef("y[d0,n0]", "binary", 0, 1, 3, "serve", "d0", "n0"),
+        ),
+        rows=(RowDef("bigm[d0,n0]", ((0, 1), (1, -5)), "<=", 7),),
+        demand_ids=("d0",),
+        node_ids=("n0",),
+        scenario=None,
+    )
+    lines = to_fixed_format(prob).splitlines()
+    assert lines[lines.index("COLUMNS") + 1 : lines.index("RHS")] == [
+        "    x_d0_n0                 COST                    2.0",
+        "    x_d0_n0                 bigm_d0_n0              1.0",
+        "    MARKER0       'MARKER'                 'INTORG'",
+        "    y_d0_n0                 COST                    3.0",
+        "    y_d0_n0                 bigm_d0_n0              -5.0",
+        "    MARKER1       'MARKER'                 'INTEND'",
+    ]
+    assert "    RHS                     bigm_d0_n0              7.0" in lines
+    assert " LO BND                     x_d0_n0                 1.0" in lines
+    assert " UP BND                     x_d0_n0                 5.0" in lines
 
 
 def test_fixed_format_round_trips_rhs():

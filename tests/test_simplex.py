@@ -405,6 +405,73 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
     assert pivots >= 3 * simplex._FOLD_EVERY
 
 
+def two_var_problem(*rows) -> MilpProblem:
+    """x0, x1 in [0, 4] with unit costs, under (coeffs, sense, rhs) rows."""
+    return MilpProblem(
+        variables=tuple(
+            VarDef(f"x{j}", "continuous", 0.0, 4.0, 1.0, "assign", None, f"n{j}")
+            for j in range(2)
+        ),
+        rows=tuple(
+            RowDef(f"r{i}", coeffs, sense, rhs)
+            for i, (coeffs, sense, rhs) in enumerate(rows)
+        ),
+        demand_ids=("d0",),
+        node_ids=("n0", "n1"),
+        scenario=None,
+    )
+
+
+def test_fold_moves_singletons_into_bounds_and_drops_dead_rows():
+    # A zero coefficient counts as absent: 0 x0 + 2 x1 <= 3 is x1 <= 1.5.
+    ws = LpWorkspace(two_var_problem((((0, 0.0), (1, 2.0)), "<=", 3.0)))
+    assert not ws.proven_infeasible and ws.m == 0
+    assert list(ws.lb) == [0.0, 0.0] and list(ws.ub) == [4.0, 1.5]
+
+    # A singleton >= row with a negative coefficient caps the variable:
+    # -2 x0 >= -3 is x0 <= 1.5.
+    ws = LpWorkspace(two_var_problem((((0, -2.0),), ">=", -3.0)))
+    assert ws.m == 0 and ws.ub[0] == 1.5 and ws.lb[0] == 0.0
+
+    # Empty rows: one that cannot hold proves infeasibility, one that
+    # holds is dropped.
+    for coeffs in ((), ((1, 0.0),)):
+        ws = LpWorkspace(two_var_problem((coeffs, ">=", 1.0)))
+        assert ws.proven_infeasible and ws.m == 0
+        assert ws.solve_primal() == STATUS_INFEASIBLE
+    ws = LpWorkspace(two_var_problem(((), "<=", 1.0)))
+    assert not ws.proven_infeasible and ws.m == 0
+
+    # Two singletons that leave no room: x0 >= 3 and 2 x0 <= 4.
+    ws = LpWorkspace(
+        two_var_problem((((0, 1.0),), ">=", 3.0), (((0, 2.0),), "<=", 4.0))
+    )
+    assert ws.proven_infeasible and ws.m == 0
+
+    # A row that no values within the bounds can violate is dropped; the
+    # bounds it is judged by include those from singletons anywhere in
+    # the model (x0 <= 1 makes x0 + x1 <= 5 redundant).  The kept >= row
+    # is stored negated.
+    ws = LpWorkspace(
+        two_var_problem(
+            (((0, 1.0), (1, 1.0)), "<=", 5.0),
+            (((0, 1.0), (1, 1.0)), ">=", 1.0),
+            (((0, 1.0),), "<=", 1.0),
+        )
+    )
+    assert not ws.proven_infeasible and ws.m == 1
+    assert list(ws.b) == [-1.0] and ws.ub[0] == 1.0
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    assert ws.objective() == pytest.approx(1.0)
+    without = LpWorkspace(
+        two_var_problem(
+            (((0, 1.0), (1, 1.0)), "<=", 5.0),
+            (((0, 1.0), (1, 1.0)), ">=", 1.0),
+        )
+    )
+    assert without.m == 2
+
+
 def test_refactor_matches_a_full_inverse():
     """The kernel factorization gives the inverse of the whole basis.
 
