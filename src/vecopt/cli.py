@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .bnb import MilpSolution, solve_scenario
 from .check import cross_check
+from .oracle import MAX_CELLS
 from .power import cloud_only_baseline, evaluate_placement, sig
 from .scenario import (
     CLASS_ORDER,
@@ -31,10 +32,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
-
-# Keep the exhaustive cross-check tractable: its work grows with the
-# product of node and demand counts.
-MAX_CHECK_CELLS = 18
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
@@ -232,10 +229,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.max_nodes * args.max_demands > MAX_CHECK_CELLS:
+    if args.max_nodes * args.max_demands > MAX_CELLS:
         print(
             f"error: --max-nodes x --max-demands may not exceed "
-            f"{MAX_CHECK_CELLS} (exhaustive check)",
+            f"{MAX_CELLS} (exhaustive check)",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -43,7 +43,6 @@ from .types import (
     Placement,
     PlacementError,
     Scenario,
-    ScenarioError,
 )
 
 ROLE_ASSIGN = "assign"

@@ -19,6 +19,10 @@ from .types import Placement, Scenario
 
 _EPS = 1e-9
 
+# Demands x nodes the enumeration accepts: its work grows with that
+# product, so the cross-check and the random instances stay within it.
+MAX_CELLS = 18
+
 
 class OracleSizeError(ValueError):
     """The instance is too large for exhaustive enumeration."""
@@ -111,7 +115,7 @@ def _split_workloads(
 
 
 def exhaustive_oracle(
-    scenario: Scenario, *, max_cells: int = 18
+    scenario: Scenario, *, max_cells: int = MAX_CELLS
 ) -> MilpSolution:
     """Provably optimal placement by enumeration of serving patterns.
 

@@ -9,7 +9,6 @@ fractions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,7 +20,6 @@ from .types import (
     PlacementError,
     Scenario,
     TIER_CLOUD,
-    TIER_EDGE,
     TIERS,
 )
 

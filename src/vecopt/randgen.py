@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .oracle import MAX_CELLS
 from .scenario import build_routes, validate_scenario, wire_links
 from .power import traffic_for_workload
 from .types import (
@@ -93,7 +94,7 @@ def random_scenario(
 
     node_tuple = tuple(nodes)
     n_total = len(node_tuple)
-    n_demand = rng.randint(1, max(1, min(max_demands, 18 // n_total)))
+    n_demand = rng.randint(1, max(1, min(max_demands, MAX_CELLS // n_total)))
     demands = []
     for d in range(n_demand):
         source = f"v{rng.randrange(n_vehicle)}"

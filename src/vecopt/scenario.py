@@ -230,11 +230,6 @@ def build_routes(
     return routes
 
 
-def route(scenario: Scenario, src: str, dst: str) -> Path:
-    """The scenario's fixed path from ``src`` to ``dst``."""
-    return scenario.route(src, dst)
-
-
 def cloud_pool(total_workload: float, options: ModelOptions) -> list[NodeSpec]:
     """Cloud nodes sized so the cloud tier is never the bottleneck.
 
@@ -508,42 +503,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "options": dataclasses.asdict(scenario.options),
-        "nodes": [
-            {
-                "id": n.id,
-                "tier": n.tier,
-                "max_power_w": n.max_power_w,
-                "idle_power_w": n.idle_power_w,
-                "processing_fraction": n.processing_fraction,
-                "communication_fraction": n.communication_fraction,
-                "capacity_mips": n.capacity_mips,
-                "interfaces": [
-                    {"kind": i.kind, "capacity_bps": i.capacity_bps}
-                    for i in n.interfaces
-                ],
-            }
-            for n in scenario.nodes
-        ],
-        "links": [
-            {
-                "id": l.id,
-                "head": l.head,
-                "tail": l.tail,
-                "kind": l.kind,
-                "capacity_bps": l.capacity_bps,
-                "energy_per_bit": l.energy_per_bit,
-            }
-            for l in scenario.links
-        ],
-        "demands": [
-            {
-                "id": d.id,
-                "source": d.source,
-                "workload_mips": d.workload_mips,
-                "traffic_bps": d.traffic_bps,
-            }
-            for d in scenario.demands
-        ],
+        "nodes": [dataclasses.asdict(n) for n in scenario.nodes],
+        "links": [dataclasses.asdict(l) for l in scenario.links],
+        "demands": [dataclasses.asdict(d) for d in scenario.demands],
         "routes": {
             f"{src}->{dst}": list(path.links)
             for (src, dst), path in sorted(scenario.routes.items())
@@ -554,6 +516,39 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical document text; identical scenarios serialize identically."""
     return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+
+
+def _read_records(entries, cls, entity: str, **readers) -> tuple:
+    """One ``cls`` record per object in the document list ``entries``.
+
+    Fields are read by name.  ``readers[name](obj, label)`` reads the
+    field it is named after; any other field may be absent only when it
+    has a default, and must hold a string when it is declared ``str``.
+    Numbers are left to ``validate_scenario``.
+    """
+    # A tuple too: asdict leaves a node's interfaces in one.
+    if not isinstance(entries, (list, tuple)):
+        raise ScenarioError(f"{entity}s must be a list, not {entries!r}")
+    records = []
+    for i, obj in enumerate(entries):
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"{entity} #{i}: expected an object, not {obj!r}")
+        label = f"{entity} {obj.get('id', f'#{i}')}"
+        values = {}
+        for f in dataclasses.fields(cls):
+            if f.name in readers:
+                values[f.name] = readers[f.name](obj, label)
+            elif f.name not in obj:
+                if f.default is dataclasses.MISSING:
+                    raise ScenarioError(f"{label}: missing {f.name}")
+            elif f.type == "str" and not isinstance(obj[f.name], str):
+                raise ScenarioError(
+                    f"{label}: {f.name} must be a string, not {obj[f.name]!r}"
+                )
+            else:
+                values[f.name] = obj[f.name]
+        records.append(cls(**values))
+    return tuple(records)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -570,48 +565,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except TypeError as exc:
         raise ScenarioError(f"options: {exc}") from None
 
-    nodes = []
-    for i, raw in enumerate(doc.get("nodes", [])):
-        try:
-            interfaces = tuple(
-                InterfaceSpec(kind=e["kind"], capacity_bps=e["capacity_bps"])
-                for e in raw.get("interfaces", [])
-            )
-            nodes.append(
-                NodeSpec(
-                    id=raw["id"],
-                    tier=raw["tier"],
-                    max_power_w=raw["max_power_w"],
-                    idle_power_w=raw["idle_power_w"],
-                    processing_fraction=raw["processing_fraction"],
-                    communication_fraction=raw["communication_fraction"],
-                    capacity_mips=raw["capacity_mips"],
-                    interfaces=interfaces,
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            name = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
-            raise ScenarioError(f"node {name}: malformed ({exc})") from None
-    nodes = tuple(nodes)
+    def interfaces(obj, label):
+        entries = obj.get("interfaces", ())
+        return _read_records(entries, InterfaceSpec, f"{label}: interface")
 
+    def traffic(obj, label):
+        if obj.get("traffic_bps") is not None:
+            return obj["traffic_bps"]
+        try:
+            return traffic_for_workload(
+                obj.get("workload_mips"), options.instructions_per_bit
+            )
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{label}: {exc}") from None
+
+    nodes = _read_records(
+        doc.get("nodes", ()), NodeSpec, "node", interfaces=interfaces
+    )
     if "links" in doc:
-        links = []
-        for i, raw in enumerate(doc["links"]):
-            try:
-                links.append(
-                    Link(
-                        id=raw["id"],
-                        head=raw["head"],
-                        tail=raw["tail"],
-                        kind=raw["kind"],
-                        capacity_bps=raw["capacity_bps"],
-                        energy_per_bit=raw["energy_per_bit"],
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                name = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
-                raise ScenarioError(f"link {name}: malformed ({exc})") from None
-        links = tuple(links)
+        links = _read_records(doc["links"], Link, "link")
     else:
         # Wiring prices links from the node numbers, so they go first.
         problems = [p for node in nodes for p in _node_number_problems(node)]
@@ -621,45 +593,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
             links = wire_links(nodes, options)
         except DerivationError as exc:
             raise ScenarioError(str(exc)) from None
-
-    demands = []
-    for i, raw in enumerate(doc.get("demands", [])):
-        try:
-            traffic = raw.get("traffic_bps")
-            if traffic is None:
-                traffic = traffic_for_workload(
-                    raw["workload_mips"], options.instructions_per_bit
-                )
-            demands.append(
-                DemandSpec(
-                    id=raw["id"],
-                    source=raw["source"],
-                    workload_mips=raw["workload_mips"],
-                    traffic_bps=traffic,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            name = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
-            raise ScenarioError(f"demand {name}: malformed ({exc})") from None
-    demands = tuple(demands)
-
-    if "routes" in doc:
+    demands = _read_records(
+        doc.get("demands", ()), DemandSpec, "demand", traffic_bps=traffic
+    )
+    if "routes" not in doc:
+        routes = build_routes(nodes, links)
+    elif not isinstance(doc["routes"], dict):
+        raise ScenarioError(f"routes must be an object, not {doc['routes']!r}")
+    else:
         routes = {}
         for key, link_ids in doc["routes"].items():
             src, sep, dst = key.partition("->")
             if not sep:
                 raise ScenarioError(f"route key {key!r}: expected 'src->dst'")
+            if not isinstance(link_ids, list) or not all(
+                isinstance(l, str) for l in link_ids
+            ):
+                raise ScenarioError(
+                    f"route {key}: expected a list of link ids, not {link_ids!r}"
+                )
             routes[(src, dst)] = Path(tuple(link_ids))
-    else:
-        routes = build_routes(nodes, links)
-
-    scenario = Scenario(
-        nodes=nodes,
-        links=links,
-        demands=demands,
-        routes=routes,
-        options=options,
-    )
+    scenario = Scenario(nodes, links, demands, routes, options)
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError("; ".join(problems))

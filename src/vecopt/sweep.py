@@ -65,17 +65,14 @@ def compute_saving(optimal_w: float, baseline_w: float) -> float:
 
 
 def _sweep_point(
-    args: tuple[str, int, ModelOptions, float | None, int | None, float],
+    args: tuple[str, int, ModelOptions, float | None, int | None],
 ) -> SweepRow:
-    demand_class, count, options, time_limit, node_limit, gap = args
+    demand_class, count, options, time_limit, node_limit = args
     scenario = build_reference_scenario(demand_class, count, options)
     baseline = cloud_only_baseline(scenario)
     t0 = time.perf_counter()
     solution = solve_scenario(
-        scenario,
-        time_limit_s=time_limit,
-        node_limit=node_limit,
-        absolute_gap=gap,
+        scenario, time_limit_s=time_limit, node_limit=node_limit
     )
     ms = (time.perf_counter() - t0) * 1000.0
     if solution.assignment is None:
@@ -125,7 +122,6 @@ def run_sweep(
     workers: int = 1,
     time_limit_s: float | None = None,
     node_limit: int | None = DEFAULT_NODE_LIMIT,
-    absolute_gap: float = 1e-6,
 ) -> SweepReport:
     """Solve every (class, count) pair and tabulate the comparison.
 
@@ -141,7 +137,7 @@ def run_sweep(
         key=lambda c: CLASS_ORDER.index(c) if c in CLASS_ORDER else len(CLASS_ORDER),
     )
     tasks = [
-        (cls, count, options, time_limit_s, node_limit, absolute_gap)
+        (cls, count, options, time_limit_s, node_limit)
         for cls in ordered
         for count in sorted(counts)
     ]

@@ -10,6 +10,7 @@ by mutation and loaders can reject them with a full list of problems.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -174,29 +175,17 @@ class Scenario:
         except KeyError:
             raise ScenarioError(f"unknown link {link_id!r}") from None
 
-    @property
+    @functools.cached_property
     def _node_map(self) -> dict[str, NodeSpec]:
-        cached = self.__dict__.get("_node_map_cache")
-        if cached is None:
-            cached = {n.id: n for n in self.nodes}
-            self.__dict__["_node_map_cache"] = cached
-        return cached
+        return {n.id: n for n in self.nodes}
 
-    @property
+    @functools.cached_property
     def _link_map(self) -> dict[str, Link]:
-        cached = self.__dict__.get("_link_map_cache")
-        if cached is None:
-            cached = {l.id: l for l in self.links}
-            self.__dict__["_link_map_cache"] = cached
-        return cached
+        return {l.id: l for l in self.links}
 
-    @property
+    @functools.cached_property
     def _node_order(self) -> dict[str, int]:
-        cached = self.__dict__.get("_node_order_cache")
-        if cached is None:
-            cached = {n.id: i for i, n in enumerate(self.nodes)}
-            self.__dict__["_node_order_cache"] = cached
-        return cached
+        return {n.id: i for i, n in enumerate(self.nodes)}
 
     def tier_nodes(self, tier: str) -> tuple[NodeSpec, ...]:
         return tuple(n for n in self.nodes if n.tier == tier)
@@ -254,13 +243,12 @@ class Placement:
         x: Mapping[tuple[str, str], float],
         *,
         threshold: float = 1e-9,
-        check: bool = True,
     ) -> "Placement":
         """Assemble a placement from raw assignment amounts.
 
         Drops entries at or below ``threshold``, derives the serving sets
         and the active set (sources, serving nodes, and every relay on a
-        used route), and optionally verifies conservation and capacity.
+        used route), and verifies conservation and capacity.
         """
         order = scenario._node_order
         kept: dict[tuple[str, str], float] = {}
@@ -283,10 +271,9 @@ class Placement:
                 )
         active = tuple(sorted(active_ids, key=order.__getitem__))
         placement = Placement(x=kept, serving=serving, active=active)
-        if check:
-            problems = placement.violations(scenario)
-            if problems:
-                raise PlacementError("; ".join(problems))
+        problems = placement.violations(scenario)
+        if problems:
+            raise PlacementError("; ".join(problems))
         return placement
 
     def violations(self, scenario: Scenario, rel_tol: float = 1e-6) -> list[str]:

@@ -167,6 +167,40 @@ def test_solve_rejects_a_string_workload(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("nodes",), 5, id="nodes-a-number"),
+        pytest.param(("nodes", 0), 5, id="node-a-number"),
+        pytest.param(("demands", 0), 7, id="demand-a-number"),
+        pytest.param(
+            ("demands",),
+            {"d0": {"id": "d0", "source": "v0", "workload_mips": 2880.0}},
+            id="demands-an-object",
+        ),
+        pytest.param(("routes",), [], id="routes-a-list"),
+        pytest.param(("routes", "v0->v1"), 5, id="route-links-a-number"),
+        pytest.param(("nodes", 0, "id"), ["v0"], id="node-id-a-list"),
+        pytest.param(("links", 0, "id"), ["v0>v1"], id="link-id-a-list"),
+        pytest.param(("demands", 0, "source"), ["v0"], id="demand-source-a-list"),
+        pytest.param(("links", 0), "v0>v1", id="link-a-string"),
+        pytest.param(("nodes", 0, "interfaces", 0), 5, id="interface-a-number"),
+    ],
+)
+def test_solve_rejects_a_document_of_the_wrong_shape(tmp_path, capsys, path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: invalid scenario file:" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(

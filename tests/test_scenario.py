@@ -1,6 +1,7 @@
 """Scenario construction, validation, and serialization round trips."""
 
 import copy
+import hashlib
 import math
 import random
 
@@ -215,6 +216,23 @@ def test_serialization_is_deterministic():
     a = serialize_scenario(build_reference_scenario("medium", 5))
     b = serialize_scenario(build_reference_scenario("medium", 5))
     assert a == b
+
+
+def test_serialized_bytes_are_pinned():
+    # Digest of one document with per-server clouds and a shared DSRC
+    # medium: it moves with any changed field, number spelling, key order
+    # or indentation.
+    text = serialize_scenario(
+        build_reference_scenario(
+            "large",
+            3,
+            ModelOptions(cloud_provisioning="per_server", dsrc_medium="shared"),
+        )
+    )
+    assert len(text.splitlines()) == 6278
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5612381a0fa0e56cdcb85bdcb54c07a9a591d8a524c3c3b78fc1a4ed40b7b8d2"
+    )
 
 
 def test_round_trip_preserves_scenario():
