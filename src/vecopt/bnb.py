@@ -1,9 +1,10 @@
 """Branch and bound on serving and activation binaries.
 
-Best-bound node selection with deterministic tie-breaking, warm-started
-dual simplex re-solves, a rounding heuristic that turns any node
-relaxation into a feasible placement, and an optional initial incumbent
-(the cloud-only baseline, in practice) so pruning starts immediately.
+Best-bound search with plunging and deterministic tie-breaking,
+warm-started dual simplex re-solves, a rounding heuristic that turns any
+node relaxation into a feasible placement, and an optional initial
+incumbent (the cloud-only baseline, in practice) so pruning starts
+immediately.
 """
 
 from __future__ import annotations
@@ -72,12 +73,15 @@ def branch_and_bound(
 ) -> MilpSolution:
     """Exact minimization of the placement MILP.
 
-    Nodes are explored best-bound-first (ties newest-first, so equal
-    bounds descend depth-first and reuse the warm basis); the branching
-    variable maximizes fractionality weighted by objective coefficient,
-    so expensive activations settle before cheap serving indicators,
-    with lower indices winning ties.  Equal-objective incumbents keep
-    the lexicographically smallest binary pattern.
+    The search is best-bound with plunging: after a node branches, its
+    up child is solved next, one bound away from the warm basis, and the
+    down child waits on a best-bound heap (ties newest-first).  The heap
+    is popped only when the plunge ends in a pruned, infeasible or
+    integral node.  The branching variable maximizes fractionality
+    weighted by objective coefficient, so expensive activations settle
+    before cheap serving indicators, with lower indices winning ties.
+    Equal-objective incumbents keep the lexicographically smallest
+    binary pattern.
 
     Branching is orbital: when the chosen variable belongs to a node that
     is interchangeable with others whose branching state is identical, the
@@ -184,12 +188,13 @@ def branch_and_bound(
     heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
     counter = 0
     root_obj = ws.objective()
-    heapq.heappush(heap, (root_obj, -counter, {}))
-    counter += 1
+    # The next node of the current plunge (the root, then the up child of
+    # each node that branches), solved before anything on the heap.
+    plunge: tuple[float, dict] | None = (root_obj, {})
     timed_out = False
     parent_bound = root_obj
 
-    while heap:
+    while heap or plunge is not None:
         if (
             options.time_limit_s is not None
             and time.perf_counter() - t0 > options.time_limit_s
@@ -199,7 +204,11 @@ def branch_and_bound(
         ):
             timed_out = True
             break
-        parent_bound, _, branch = heapq.heappop(heap)
+        if plunge is not None:
+            parent_bound, branch = plunge
+            plunge = None
+        else:
+            parent_bound, _, branch = heapq.heappop(heap)
         if inc_vec is not None and parent_bound >= inc_obj - gap:
             continue
         if not ws.set_branch(branch):
@@ -240,11 +249,12 @@ def branch_and_bound(
         counter += 1
         up = dict(branch)
         up[best_j] = (1.0, 1.0)
-        heapq.heappush(heap, (node_obj, -counter, up))
-        counter += 1
+        plunge = (node_obj, up)
 
     if timed_out:
         bounds_left = [parent_bound] + [entry[0] for entry in heap]
+        if plunge is not None:
+            bounds_left.append(plunge[0])
         if inc_vec is None:
             stats.gap = float("inf")
             return done(STATUS_TIMEOUT, float("nan"), None)

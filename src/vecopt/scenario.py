@@ -306,6 +306,15 @@ _NODE_NUMBERS = (
 )
 _LINK_NUMBERS = ("capacity_bps", "energy_per_bit")
 _DEMAND_NUMBERS = ("workload_mips", "traffic_bps")
+_OPTION_NUMBERS = (
+    "instructions_per_bit",
+    "cloud_path_energy_per_bit",
+    "cloud_server_capacity",
+)
+_OPTION_CHOICES = {
+    "cloud_provisioning": ("per_server", "single_pool"),
+    "dsrc_medium": ("per_link", "shared"),
+}
 
 
 def _finite(value) -> bool:
@@ -481,19 +490,25 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"to {node.id}"
                 )
 
-    opts = scenario.options
-    if opts.instructions_per_bit <= 0:
-        out.append("options: instructions_per_bit must be positive")
-    if opts.cloud_path_energy_per_bit < 0:
-        out.append("options: cloud_path_energy_per_bit must be >= 0")
-    if opts.cloud_provisioning not in ("per_server", "single_pool"):
-        out.append(
-            f"options: unknown cloud_provisioning {opts.cloud_provisioning!r}"
-        )
-    if opts.cloud_server_capacity <= 0:
-        out.append("options: cloud_server_capacity must be positive")
-    if opts.dsrc_medium not in ("per_link", "shared"):
-        out.append(f"options: unknown dsrc_medium {opts.dsrc_medium!r}")
+    return out + _option_problems(scenario.options)
+
+
+def _option_problems(opts: ModelOptions) -> list[str]:
+    """Violations in the model options; ranges are tested on numbers only."""
+    out = _number_problems("options", opts, _OPTION_NUMBERS)
+    if not out:
+        if opts.instructions_per_bit <= 0:
+            out.append("options: instructions_per_bit must be positive")
+        if opts.cloud_path_energy_per_bit < 0:
+            out.append("options: cloud_path_energy_per_bit must be >= 0")
+        if opts.cloud_server_capacity <= 0:
+            out.append("options: cloud_server_capacity must be positive")
+    for name, choices in _OPTION_CHOICES.items():
+        value = getattr(opts, name)
+        if not isinstance(value, str):
+            out.append(f"options: {name} must be a string, not {value!r}")
+        elif value not in choices:
+            out.append(f"options: unknown {name} {value!r}")
     return out
 
 
@@ -564,6 +579,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         options = ModelOptions(**doc.get("options", {}))
     except TypeError as exc:
         raise ScenarioError(f"options: {exc}") from None
+    # Traffic and link wiring below read the options before validation.
+    problems = _option_problems(options)
+    if problems:
+        raise ScenarioError("; ".join(problems))
 
     def interfaces(obj, label):
         entries = obj.get("interfaces", ())

@@ -189,6 +189,64 @@ def test_baseline_is_feasible_and_never_beaten(solutions):
         assert violations == [], f"{cls}@{n}: baseline violates {violations[:3]}"
 
 
+# Best-known objective and lower bound (W) per point, to 4 decimals.
+# Where the bound is None the point is proven and both are the optimum.
+# The unproven entries are HiGHS's (scipy.optimize.milp, 20 s a point).
+BEST_KNOWN = {
+    ("small", 1): (15.3484, None),
+    ("small", 2): (30.6967, None),
+    ("small", 3): (46.0451, None),
+    ("small", 4): (58.1290, None),
+    ("small", 5): (72.0778, 71.8538),
+    ("small", 6): (87.4262, 86.1565),
+    ("small", 7): (102.7745, 102.5371),
+    ("small", 8): (116.2579, 116.0279),
+    ("small", 9): (130.2068, 129.7493),
+    ("small", 10): (144.1556, 143.4836),
+    ("medium", 1): (31.1447, None),
+    ("medium", 2): (58.6890, None),
+    ("medium", 3): (88.6582, None),
+    ("medium", 4): (118.1267, None),
+    ("medium", 5): (146.1716, 145.7236),
+    ("medium", 6): (176.8157, 176.5901),
+    ("medium", 7): (207.4657, 207.1369),
+    ("medium", 8): (236.2534, 236.1587),
+    ("medium", 9): (494.8772, 493.6731),
+    ("medium", 10): (554.3117, 552.8658),
+    ("large", 1): (59.9795, None),
+    ("large", 2): (121.4566, None),
+    ("large", 3): (182.5123, None),
+    ("large", 4): (244.4109, None),
+    ("large", 5): (563.3652, 562.0212),
+    ("large", 6): (680.2887, 679.3927),
+    ("large", 7): (798.7098, 798.1722),
+    ("large", 8): (917.1309, 917.0757),
+    ("large", 9): (1036.0000, None),
+    ("large", 10): (1154.8692, None),
+}
+# Points whose budgeted incumbent reaches the best known under both the
+# default and single-threaded BLAS (the thread count moves pivot paths).
+MATCHED = (
+    [("small", n) for n in range(4, 11)]
+    + [("medium", n) for n in (3, 4, 5, 9)]
+    + [("large", n) for n in (3, 5, 6)]
+)
+
+
+def test_incumbents_and_bounds_against_the_best_known(solutions):
+    assert len(BEST_KNOWN) == len(solutions)
+    for point, (scenario, solution) in solutions.items():
+        best, known_bound = BEST_KNOWN[point]
+        if known_bound is None:
+            known_bound = best
+        # no feasible placement beats a valid lower bound, and the bound
+        # reported with the incumbent may not pass the best known one
+        assert solution.objective >= known_bound - 1e-4, point
+        assert solution.objective - solution.stats.gap <= best + 1e-4, point
+        if point in MATCHED:
+            assert solution.objective <= best + 1e-4, point
+
+
 def test_sweep_csv_is_deterministic_across_runs_and_workers(grid_w1, grid_w8):
     assert grid_w1[0] == grid_w8[0]
 

@@ -201,6 +201,32 @@ def test_solve_rejects_a_document_of_the_wrong_shape(tmp_path, capsys, path, val
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("instructions_per_bit", "2000"),
+        ("cloud_path_energy_per_bit", "5e-7"),
+        ("cloud_server_capacity", None),
+        ("cloud_provisioning", 1),
+        ("dsrc_medium", ["shared"]),
+    ],
+)
+def test_solve_rejects_a_model_option_of_the_wrong_type(
+    tmp_path, capsys, name, value
+):
+    def edit(doc):
+        doc["options"][name] = value
+        # absent traffic is derived from instructions_per_bit while reading
+        del doc["demands"][0]["traffic_bps"]
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: invalid scenario file:" in err
+    assert f"options: {name} must be" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(

@@ -141,6 +141,22 @@ def test_node_budget_flags_and_keeps_the_incumbent():
     assert priced == pytest.approx(capped.objective, rel=1e-9)
 
 
+def test_every_budget_stop_brackets_the_optimum():
+    # small@3 is proven in 18 nodes; each smaller budget stops the search
+    # at a different point of a plunge, with or without an up child
+    # pending, and the reported gap must still cover the optimum.
+    s = build_reference_scenario("small", 3)
+    optimum = solve_scenario(s)
+    assert optimum.status == "optimal"
+    assert optimum.objective == pytest.approx(46.0451, abs=1e-4)
+    assert optimum.stats.explored_nodes == 18
+    for limit in range(1, 18):
+        sol = solve_scenario(s, node_limit=limit)
+        assert sol.status == "timeout", limit
+        bound = sol.objective - sol.stats.gap
+        assert bound <= optimum.objective + 1e-9 <= sol.objective + 1e-9, limit
+
+
 def test_time_limit_flags_the_result():
     s = build_reference_scenario("small", 5)
     sol = solve_scenario(s, time_limit_s=1e-9)
