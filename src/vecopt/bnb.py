@@ -118,37 +118,16 @@ def branch_and_bound(
     cleanup = cleanup_arrays(problem)
     cvec = problem.objective_vector()
 
+    # Binary j >= DN sits at node (j - DN) % N of the block that starts at
+    # j - node: one block per demand's serving indicators, then one of
+    # activations.
     D, N = problem.n_demands, problem.n_nodes
     DN = D * N
-    class_of: dict[int, tuple[int, ...]] = {}
+    blocks = range(DN, 2 * DN + 1, N)
+    class_of: dict[int, list[int]] = {}
     for cls in interchange_classes(problem.scenario):
         for pos in cls:
-            class_of[pos] = tuple(cls)
-
-    def var_node(j: int) -> int:
-        return j - 2 * DN if j >= 2 * DN else (j - DN) % N
-
-    def var_block(j: int) -> int:
-        # demand index for serving variables, -1 for activation
-        return -1 if j >= 2 * DN else (j - DN) // N
-
-    def block_var(block: int, pos: int) -> int:
-        return 2 * DN + pos if block == -1 else DN + block * N + pos
-
-    def orbit_of(pos: int, branch: dict) -> tuple[int, ...]:
-        """Interchangeable nodes whose branching history matches pos's."""
-        cls = class_of.get(pos)
-        if cls is None:
-            return (pos,)
-        states: dict[int, list] = {q: [] for q in cls}
-        for j, bounds in branch.items():
-            if j < DN:
-                continue
-            q = var_node(j)
-            if q in states:
-                states[q].append((var_block(j), bounds))
-        target = sorted(states[pos])
-        return tuple(q for q in cls if sorted(states[q]) == target)
+            class_of[pos] = cls
 
     inc_vec: np.ndarray | None = None
     inc_obj = np.inf
@@ -161,40 +140,64 @@ def branch_and_bound(
         if check_assignment(problem, vec):
             return
         obj = float(cvec @ vec)
-        if inc_vec is None or obj < inc_obj - 1e-9:
+        if obj < inc_obj - 1e-9:
             inc_vec, inc_obj, inc_key = vec, obj, _key_of(vec, binaries)
         elif obj <= inc_obj + 1e-9:
             key = _key_of(vec, binaries)
             if key < inc_key:
                 inc_vec, inc_obj, inc_key = vec, obj, key
 
-    def process(values: np.ndarray) -> list[int] | None:
-        """Returns fractional binary candidates, or None if integral.
-
-        Any relaxation, integral or not, is cleaned into a placement read
-        off its positive x entries and offered as an incumbent.
-        """
-        consider(clean_assignment(problem, values, cleanup))
-        bin_vals = values[binaries]
-        frac = np.abs(bin_vals - np.round(bin_vals))
-        cand = np.nonzero(frac > FEAS_TOL)[0]
-        if cand.size == 0:
-            return None
-        return [int(binaries[k]) for k in cand]
-
     if options.initial_assignment is not None:
         consider(np.asarray(options.initial_assignment, dtype=float))
 
     heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
     counter = 0
-    root_obj = ws.objective()
-    # The next node of the current plunge (the root, then the up child of
-    # each node that branches), solved before anything on the heap.
-    plunge: tuple[float, dict] | None = (root_obj, {})
+    # The bound of the node taken last, and the next node of the current
+    # plunge (the up child of a node that branches), which is solved
+    # before anything on the heap.
+    parent_bound = ws.objective()
+    plunge: tuple[float, dict] | None = (parent_bound, {})
+    solved = False
     timed_out = False
-    parent_bound = root_obj
 
-    while heap or plunge is not None:
+    while True:
+        # The workspace holds the optimal relaxation of the node taken
+        # last: offer its cleaned placement as an incumbent and, while it
+        # can still beat the incumbent, branch on it.
+        if solved and (node_obj := ws.objective()) < inc_obj - gap:
+            vals = ws.values_extended()
+            consider(clean_assignment(problem, vals[: cvec.size], cleanup))
+            bin_vals = vals[binaries]
+            frac = np.abs(bin_vals - np.round(bin_vals)) > FEAS_TOL
+            # The heuristic may have closed this node.
+            if frac.any() and node_obj < inc_obj - gap:
+                # Weight fractionality by the variable's objective
+                # coefficient so expensive activations (cloud idle dwarfs
+                # any transfer term) are resolved before penny-scale
+                # serving indicators.
+                best_j = max(
+                    binaries[frac].tolist(),
+                    key=lambda j: (
+                        (0.5 - abs(vals[j] - 0.5)) * max(cvec[j], 1.0),
+                        -j,
+                    ),
+                )
+                node = (best_j - DN) % N
+                down = dict(branch)
+                for q in class_of.get(node, [node]):
+                    if all(
+                        branch.get(b + q) == branch.get(b + node)
+                        for b in blocks
+                    ):
+                        down[best_j - node + q] = (0.0, 0.0)
+                heapq.heappush(heap, (node_obj, -counter, down))
+                counter += 1
+                up = dict(branch)
+                up[best_j] = (1.0, 1.0)
+                plunge = (node_obj, up)
+
+        if plunge is None and not heap:
+            break
         if (
             options.time_limit_s is not None
             and time.perf_counter() - t0 > options.time_limit_s
@@ -205,67 +208,30 @@ def branch_and_bound(
             timed_out = True
             break
         if plunge is not None:
-            parent_bound, branch = plunge
-            plunge = None
+            (parent_bound, branch), plunge = plunge, None
         else:
             parent_bound, _, branch = heapq.heappop(heap)
-        if inc_vec is not None and parent_bound >= inc_obj - gap:
-            continue
-        if not ws.set_branch(branch):
+        solved = False
+        if parent_bound >= inc_obj - gap or not ws.set_branch(branch):
             continue
         before = ws.iterations
-        status = ws.solve_dual(
-            None if inc_vec is None else inc_obj - gap
+        solved = (
+            ws.solve_dual(None if inc_vec is None else inc_obj - gap)
+            == STATUS_OPTIMAL
         )
         stats.lp_iterations += ws.iterations - before
         stats.explored_nodes += 1
-        if status != STATUS_OPTIMAL:
-            continue
-        node_obj = ws.objective()
-        if inc_vec is not None and node_obj >= inc_obj - gap:
-            continue
-        fractional = process(ws.values())
-        if fractional is None:
-            continue
-        if inc_vec is not None and node_obj >= inc_obj - gap:
-            continue  # the heuristic may have closed this node
-        vals = ws.values_extended()
-        # Weight fractionality by the variable's objective coefficient so
-        # expensive activations (cloud idle dwarfs any transfer term) are
-        # resolved before penny-scale serving indicators.
-        best_j = max(
-            fractional,
-            key=lambda j: (
-                (0.5 - abs(vals[j] - 0.5)) * max(cvec[j], 1.0),
-                -j,
-            ),
-        )
-
-        down = dict(branch)
-        block = var_block(best_j)
-        for q in orbit_of(var_node(best_j), branch):
-            down[block_var(block, q)] = (0.0, 0.0)
-        heapq.heappush(heap, (node_obj, -counter, down))
-        counter += 1
-        up = dict(branch)
-        up[best_j] = (1.0, 1.0)
-        plunge = (node_obj, up)
 
     if timed_out:
+        # No node left open can beat the least bound among them.
         bounds_left = [parent_bound] + [entry[0] for entry in heap]
         if plunge is not None:
             bounds_left.append(plunge[0])
-        if inc_vec is None:
-            stats.gap = float("inf")
-            return done(STATUS_TIMEOUT, float("nan"), None)
-        best_left = min(bounds_left) if bounds_left else inc_obj
-        stats.gap = max(0.0, inc_obj - min(best_left, inc_obj))
-        return done(STATUS_TIMEOUT, inc_obj, inc_vec)
-
+        stats.gap = max(0.0, inc_obj - min(min(bounds_left), inc_obj))
     if inc_vec is None:
-        return done(STATUS_INFEASIBLE, float("nan"), None)
-    stats.gap = 0.0
-    return done(STATUS_OPTIMAL, inc_obj, inc_vec)
+        status = STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE
+        return done(status, float("nan"), None)
+    return done(STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL, inc_obj, inc_vec)
 
 
 def solve_scenario(
@@ -277,7 +243,6 @@ def solve_scenario(
 ) -> MilpSolution:
     """Build the model, seed the baseline incumbent, and solve exactly."""
     problem = build_milp(scenario)
-    initial = None
     try:
         baseline = cloud_only_placement(scenario)
         initial = assignment_from_placement(problem, baseline)

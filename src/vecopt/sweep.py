@@ -75,34 +75,22 @@ def _sweep_point(
         scenario, time_limit_s=time_limit, node_limit=node_limit
     )
     ms = (time.perf_counter() - t0) * 1000.0
-    if solution.assignment is None:
-        return SweepRow(
-            demand_class=demand_class,
-            request_count=count,
-            total_power_w=float("nan"),
-            vehicle_power_w=float("nan"),
-            edge_power_w=float("nan"),
-            cloud_power_w=float("nan"),
-            cloud_mips=float("nan"),
-            baseline_power_w=baseline.total_w,
-            saving_pct=float("nan"),
-            bb_nodes=solution.stats.explored_nodes,
-            lp_iterations=solution.stats.lp_iterations,
-            solve_ms=ms,
-            status=solution.status,
-            objective_w=float("nan"),
-        )
-    report = evaluate_placement(scenario, solution.placement)
+    report = None
+    if solution.assignment is not None:
+        report = evaluate_placement(scenario, solution.placement)
+    nan = float("nan")
     return SweepRow(
         demand_class=demand_class,
         request_count=count,
-        total_power_w=report.total_w,
-        vehicle_power_w=report.tier_total(TIER_VEHICLE),
-        edge_power_w=report.tier_total(TIER_EDGE),
-        cloud_power_w=report.tier_total(TIER_CLOUD),
-        cloud_mips=report.tier_load(TIER_CLOUD),
+        total_power_w=report.total_w if report else nan,
+        vehicle_power_w=report.tier_total(TIER_VEHICLE) if report else nan,
+        edge_power_w=report.tier_total(TIER_EDGE) if report else nan,
+        cloud_power_w=report.tier_total(TIER_CLOUD) if report else nan,
+        cloud_mips=report.tier_load(TIER_CLOUD) if report else nan,
         baseline_power_w=baseline.total_w,
-        saving_pct=compute_saving(report.total_w, baseline.total_w),
+        saving_pct=(
+            compute_saving(report.total_w, baseline.total_w) if report else nan
+        ),
         bb_nodes=solution.stats.explored_nodes,
         lp_iterations=solution.stats.lp_iterations,
         solve_ms=ms,
