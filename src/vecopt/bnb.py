@@ -4,7 +4,8 @@ Best-bound search with plunging and deterministic tie-breaking,
 warm-started dual simplex re-solves, a rounding heuristic that turns any
 node relaxation into a feasible placement, and an optional initial
 incumbent (the cloud-only baseline, in practice) so pruning starts
-immediately.
+immediately.  The root relaxation is the first node: it is solved once,
+and a node budget counts LP solves, the root's included.
 """
 
 from __future__ import annotations
@@ -73,15 +74,17 @@ def branch_and_bound(
 ) -> MilpSolution:
     """Exact minimization of the placement MILP.
 
-    The search is best-bound with plunging: after a node branches, its
-    up child is solved next, one bound away from the warm basis, and the
-    down child waits on a best-bound heap (ties newest-first).  The heap
-    is popped only when the plunge ends in a pruned, infeasible or
-    integral node.  The branching variable maximizes fractionality
-    weighted by objective coefficient, so expensive activations settle
-    before cheap serving indicators, with lower indices winning ties.
-    Equal-objective incumbents keep the lexicographically smallest
-    binary pattern.
+    The root relaxation is the first node and each later node is one
+    warm dual re-solve; ``node_limit`` counts these LP solves, so a
+    budget of 1 returns the rounded root.  The search is best-bound with
+    plunging: after a node branches, its up child is solved next, one
+    bound away from the warm basis, and the down child waits on a
+    best-bound heap (ties newest-first).  The heap is popped only when
+    the plunge ends in a pruned, infeasible or integral node.  The
+    branching variable maximizes fractionality weighted by objective
+    coefficient, so expensive activations settle before cheap serving
+    indicators, with lower indices winning ties.  Equal-objective
+    incumbents keep the lexicographically smallest binary pattern.
 
     Branching is orbital: when the chosen variable belongs to a node that
     is interchangeable with others whose branching state is identical, the
@@ -96,16 +99,10 @@ def branch_and_bound(
 
     def done(status: str, obj: float, vec: np.ndarray | None) -> MilpSolution:
         stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        placement = Placement.empty()
-        if vec is not None:
-            placement = extract_placement(problem, vec)
-        return MilpSolution(
-            status=status,
-            objective=obj,
-            placement=placement,
-            assignment=vec,
-            stats=stats,
+        placement = (
+            Placement.empty() if vec is None else extract_placement(problem, vec)
         )
+        return MilpSolution(status, obj, placement, vec, stats)
 
     ws = LpWorkspace(problem)
     root_status = ws.solve_primal()
@@ -152,13 +149,14 @@ def branch_and_bound(
 
     heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
     counter = 0
-    # The bound of the node taken last, and the next node of the current
-    # plunge (the up child of a node that branches), which is solved
-    # before anything on the heap.
+    # The node taken last (first the root) with its parent's bound, and
+    # the next node of the plunge: the up child of a node that branches,
+    # solved before anything on the heap.
+    branch: dict[int, tuple[float, float]] = {}
     parent_bound = ws.objective()
-    plunge: tuple[float, dict] | None = (parent_bound, {})
-    solved = False
-    timed_out = False
+    plunge: tuple[float, dict] | None = None
+    solved = True
+    stop = STATUS_OPTIMAL
 
     while True:
         # The workspace holds the optimal relaxation of the node taken
@@ -174,14 +172,11 @@ def branch_and_bound(
                 # Weight fractionality by the variable's objective
                 # coefficient so expensive activations (cloud idle dwarfs
                 # any transfer term) are resolved before penny-scale
-                # serving indicators.
-                best_j = max(
-                    binaries[frac].tolist(),
-                    key=lambda j: (
-                        (0.5 - abs(vals[j] - 0.5)) * max(cvec[j], 1.0),
-                        -j,
-                    ),
-                )
+                # serving indicators; the lowest index wins a tie.
+                cand = binaries[frac]
+                score = 0.5 - np.abs(vals[cand] - 0.5)
+                score *= np.maximum(cvec[cand], 1.0)
+                best_j = int(cand[np.argmax(score)])
                 node = (best_j - DN) % N
                 down = dict(branch)
                 for q in class_of.get(node, [node]):
@@ -205,7 +200,7 @@ def branch_and_bound(
             options.node_limit is not None
             and stats.explored_nodes >= options.node_limit
         ):
-            timed_out = True
+            stop = STATUS_TIMEOUT
             break
         if plunge is not None:
             (parent_bound, branch), plunge = plunge, None
@@ -215,23 +210,22 @@ def branch_and_bound(
         if parent_bound >= inc_obj - gap or not ws.set_branch(branch):
             continue
         before = ws.iterations
-        solved = (
-            ws.solve_dual(None if inc_vec is None else inc_obj - gap)
-            == STATUS_OPTIMAL
-        )
+        cutoff = None if inc_vec is None else inc_obj - gap
+        solved = ws.solve_dual(cutoff) == STATUS_OPTIMAL
         stats.lp_iterations += ws.iterations - before
         stats.explored_nodes += 1
 
-    if timed_out:
+    if stop == STATUS_TIMEOUT:
         # No node left open can beat the least bound among them.
-        bounds_left = [parent_bound] + [entry[0] for entry in heap]
+        bounds = [parent_bound, inc_obj] + [entry[0] for entry in heap]
         if plunge is not None:
-            bounds_left.append(plunge[0])
-        stats.gap = max(0.0, inc_obj - min(min(bounds_left), inc_obj))
+            bounds.append(plunge[0])
+        stats.gap = inc_obj - min(bounds)
     if inc_vec is None:
-        status = STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE
-        return done(status, float("nan"), None)
-    return done(STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL, inc_obj, inc_vec)
+        if stop == STATUS_OPTIMAL:
+            stop = STATUS_INFEASIBLE
+        return done(stop, float("nan"), None)
+    return done(stop, inc_obj, inc_vec)
 
 
 def solve_scenario(

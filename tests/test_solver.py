@@ -12,6 +12,7 @@ from vecopt.oracle import OracleSizeError, exhaustive_oracle
 from vecopt.power import evaluate_placement
 from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario, scenario_from_dict
+from vecopt.simplex import LpWorkspace
 
 VEHICLE = dict(
     tier="vehicle",
@@ -142,19 +143,43 @@ def test_node_budget_flags_and_keeps_the_incumbent():
 
 
 def test_every_budget_stop_brackets_the_optimum():
-    # small@3 is proven in 18 nodes; each smaller budget stops the search
+    # small@3 is proven in 17 nodes; each smaller budget stops the search
     # at a different point of a plunge, with or without an up child
     # pending, and the reported gap must still cover the optimum.
     s = build_reference_scenario("small", 3)
     optimum = solve_scenario(s)
     assert optimum.status == "optimal"
     assert optimum.objective == pytest.approx(46.0451, abs=1e-4)
-    assert optimum.stats.explored_nodes == 18
-    for limit in range(1, 18):
+    assert optimum.stats.explored_nodes == 17
+    for limit in range(1, 17):
         sol = solve_scenario(s, node_limit=limit)
         assert sol.status == "timeout", limit
         bound = sol.objective - sol.stats.gap
         assert bound <= optimum.objective + 1e-9 <= sol.objective + 1e-9, limit
+
+
+def test_root_is_solved_and_counted_once(monkeypatch):
+    # small@1 is proven by rounding its root relaxation, so one LP solve,
+    # the root's, is enough.
+    s = build_reference_scenario("small", 1)
+    sol = solve_scenario(s, node_limit=1)
+    assert sol.status == "optimal"
+    assert sol.stats.explored_nodes == 1
+    assert sol.objective == pytest.approx(15.348363636363636, rel=1e-12)
+
+    # Every node the loop re-solves carries at least one branching bound.
+    branches = []
+    set_branch = LpWorkspace.set_branch
+
+    def spy(self, branch):
+        branches.append(dict(branch))
+        return set_branch(self, branch)
+
+    monkeypatch.setattr(LpWorkspace, "set_branch", spy)
+    sol = solve_scenario(build_reference_scenario("small", 3))
+    assert sol.status == "optimal"
+    assert branches
+    assert all(branches)
 
 
 def test_time_limit_flags_the_result():

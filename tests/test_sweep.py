@@ -69,9 +69,9 @@ def test_small_grid_values():
 
 
 def test_sweep_continues_past_budget_flags():
-    # one node is never enough to prove optimality, so every row is
+    # one node, the root, does not prove either count, so every row is
     # flagged, yet each still carries its incumbent and the grid finishes
-    report = run_sweep(classes=("small",), counts=(1, 4), node_limit=1)
+    report = run_sweep(classes=("small",), counts=(2, 4), node_limit=1)
     assert len(report.rows) == 2
     for row in report.rows:
         assert row.status == "timeout"
