@@ -54,6 +54,9 @@ class SolveStats:
     lp_iterations: int = 0
     wall_ms: float = 0.0
     gap: float = 0.0
+    # Why branch and bound stopped: optimal | infeasible (both proven) |
+    # node_limit | time_limit (a budget ran out first).
+    stop_reason: str = ""
 
 
 @dataclass
@@ -109,6 +112,7 @@ def branch_and_bound(
     stats.lp_iterations = ws.iterations
     stats.explored_nodes = 1
     if root_status != STATUS_OPTIMAL:
+        stats.stop_reason = STATUS_INFEASIBLE
         return done(STATUS_INFEASIBLE, float("nan"), None)
 
     binaries = problem.binary_indices()
@@ -134,12 +138,14 @@ def branch_and_bound(
     def consider(vec: np.ndarray):
         """Keep vec as the incumbent if it is feasible and beats it."""
         nonlocal inc_vec, inc_obj, inc_key
-        if check_assignment(problem, vec):
-            return
+        # Feasibility cannot matter for a vector that does not reach the
+        # incumbent, so it is checked last.
         obj = float(cvec @ vec)
+        if obj > inc_obj + 1e-9 or check_assignment(problem, vec):
+            return
         if obj < inc_obj - 1e-9:
             inc_vec, inc_obj, inc_key = vec, obj, _key_of(vec, binaries)
-        elif obj <= inc_obj + 1e-9:
+        else:
             key = _key_of(vec, binaries)
             if key < inc_key:
                 inc_vec, inc_obj, inc_key = vec, obj, key
@@ -156,14 +162,16 @@ def branch_and_bound(
     parent_bound = ws.objective()
     plunge: tuple[float, dict] | None = None
     solved = True
-    stop = STATUS_OPTIMAL
+    stop = STATUS_OPTIMAL  # or the budget that ran out
 
     while True:
         # The workspace holds the optimal relaxation of the node taken
         # last: offer its cleaned placement as an incumbent and, while it
         # can still beat the incumbent, branch on it.
-        if solved and (node_obj := ws.objective()) < inc_obj - gap:
+        if solved:
             vals = ws.values_extended()
+            node_obj = float(ws.c @ vals)  # ws.objective(), from vals
+        if solved and node_obj < inc_obj - gap:
             consider(clean_assignment(problem, vals[: cvec.size], cleanup))
             bin_vals = vals[binaries]
             frac = np.abs(bin_vals - np.round(bin_vals)) > FEAS_TOL
@@ -194,13 +202,16 @@ def branch_and_bound(
         if plunge is None and not heap:
             break
         if (
-            options.time_limit_s is not None
-            and time.perf_counter() - t0 > options.time_limit_s
-        ) or (
             options.node_limit is not None
             and stats.explored_nodes >= options.node_limit
         ):
-            stop = STATUS_TIMEOUT
+            stop = "node_limit"
+            break
+        if (
+            options.time_limit_s is not None
+            and time.perf_counter() - t0 > options.time_limit_s
+        ):
+            stop = "time_limit"
             break
         if plunge is not None:
             (parent_bound, branch), plunge = plunge, None
@@ -215,17 +226,20 @@ def branch_and_bound(
         stats.lp_iterations += ws.iterations - before
         stats.explored_nodes += 1
 
-    if stop == STATUS_TIMEOUT:
+    status = STATUS_OPTIMAL
+    if stop != STATUS_OPTIMAL:
+        status = STATUS_TIMEOUT
         # No node left open can beat the least bound among them.
         bounds = [parent_bound, inc_obj] + [entry[0] for entry in heap]
         if plunge is not None:
             bounds.append(plunge[0])
         stats.gap = inc_obj - min(bounds)
+    elif inc_vec is None:
+        status = stop = STATUS_INFEASIBLE
+    stats.stop_reason = stop
     if inc_vec is None:
-        if stop == STATUS_OPTIMAL:
-            stop = STATUS_INFEASIBLE
-        return done(stop, float("nan"), None)
-    return done(stop, inc_obj, inc_vec)
+        return done(status, float("nan"), None)
+    return done(status, inc_obj, inc_vec)
 
 
 def solve_scenario(

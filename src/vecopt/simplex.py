@@ -29,6 +29,18 @@ structural columns meet the remaining rows.  LAPACK inverts the kernel
 (about half of m on the placement models); one product with the kernel's
 inverse gives the slack rows of B^-1, and the rest is identity or zero.
 
+The workspace keeps the dual's per-node state between calls: the
+direction each nonbasic column may move in, the nonbasic values, each
+column's feasibility tolerance, the bounds and tolerance of each basic
+position, and the basis row of each basic column.  ``_start_basis``
+builds it, each pivot updates the entries it changes, and
+``set_branch`` updates the columns whose bounds it moves, so a warm
+re-solve pays for its pivots and not for rebuilding that state.  What
+each call still recomputes is the reduced costs, from a BTRAN of the
+basic costs, and the residual check that accepts a basis without a
+refactorization; carrying the reduced costs across calls would move
+the pivot paths by their roundoff.
+
 Solves min c'x subject to row constraints and variable bounds.  Binary
 variables from the MILP arrive here already relaxed to their bounds.
 """
@@ -49,6 +61,11 @@ STATUS_CUTOFF = "cutoff"
 
 _PRIMAL_TOL = 1e-7
 _PIVOT_TOL = 1e-9
+_FOLD_TOL = 1e-9  # slack on right-hand sides and bounds when folding rows
+_RESIDUAL_TOL = 1e-9  # scaled row residual that accepts a basis as drift-free
+_TIE_REL, _TIE_ABS = 1e-9, 1e-12  # ratios this close to the least one tie
+_STALL_STEP = 1e-10  # a primal step this small counts toward a stall
+_CONFLICT_TOL = 1e-12  # a branch with lo > hi + this empties a bound
 _STALL_LIMIT = 50
 _REFACTOR_EVERY = 100
 _FOLD_EVERY = 32  # rank-1 terms the inverse's tail holds before a fold
@@ -92,7 +109,7 @@ def _fold_rows(
     tightening.
     """
     count = np.bincount(rows, minlength=rhs.size)
-    holds = np.where(eq, np.abs(rhs) <= 1e-9, rhs >= -1e-9)
+    holds = np.where(eq, np.abs(rhs) <= _FOLD_TOL, rhs >= -_FOLD_TOL)
     if np.any((count == 0) & ~holds):
         return None
 
@@ -109,7 +126,7 @@ def _fold_rows(
     np.maximum.at(floor, j[floors], at[floors])
     np.copyto(ub, cap, where=cap < ub)
     np.copyto(lb, floor, where=floor > lb)
-    if np.any(lb > ub + 1e-9):
+    if np.any(lb > ub + _FOLD_TOL):
         return None
 
     # Extreme row activities, summed entry by entry in row order.
@@ -117,7 +134,7 @@ def _fold_rows(
     x_lo = np.where(vals > 0, lb[cols], ub[cols])
     hi = np.bincount(rows, weights=vals * x_hi, minlength=rhs.size)
     lo = np.bincount(rows, weights=vals * x_lo, minlength=rhs.size)
-    tol = 1e-9 * np.maximum(1.0, np.abs(rhs))
+    tol = _FOLD_TOL * np.maximum(1.0, np.abs(rhs))
     redundant = np.where(
         eq,
         (np.abs(hi - rhs) <= tol) & (np.abs(lo - rhs) <= tol),
@@ -128,6 +145,21 @@ def _fold_rows(
     if np.any(kept & violated):
         return None
     return kept
+
+
+def _feasibility_tol(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Primal feasibility tolerance of columns with these bounds.
+
+    ``_PRIMAL_TOL`` times the larger of 1 and each finite bound's
+    magnitude; ``set_branch`` evaluates the same formula on scalars.
+    """
+    return _PRIMAL_TOL * np.maximum(
+        1.0,
+        np.maximum(
+            np.where(np.isfinite(lb), np.abs(lb), 0.0),
+            np.where(np.isfinite(ub), np.abs(ub), 0.0),
+        ),
+    )
 
 
 class LpWorkspace:
@@ -260,7 +292,17 @@ class LpWorkspace:
         self.stat[self.basis] = BASIC
         self.Bt = np.eye(m)
         self.t = 0
-        self.beta = self.b - self._mat_vec(self._nonbasic_values())
+        # The dual's state (module docstring): the basic positions of
+        # ``xnb`` are stale, filled with beta wherever it is read whole.
+        self.row_of = np.full(self.ncols, -1, dtype=np.intp)
+        self.row_of[self.basis] = np.arange(m)
+        self.dirv = self._directions()
+        self.xnb = self._nonbasic_values()
+        self.col_tol = _feasibility_tol(self.lb, self.ub)
+        self.lb_b = self.lb[self.basis]
+        self.ub_b = self.ub[self.basis]
+        self.tol_b = self.col_tol[self.basis]
+        self.beta = self.b - self._mat_vec(self.xnb)
         self._basis_ready = True
 
     def _refactor(self):
@@ -352,8 +394,7 @@ class LpWorkspace:
         """Max row residual of the current basic solution, scaled by b."""
         if self.m == 0:
             return 0.0
-        v = self._nonbasic_values()
-        v[self.basis] = self.beta
+        v = self.values_extended()
         resid = float(np.abs(self.b - self._mat_vec(v)).max())
         return resid / (1.0 + float(np.abs(self.b).max()))
 
@@ -395,40 +436,25 @@ class LpWorkspace:
         confirmed = False
         retried = False
         deadline = self.iterations + _ITER_LIMIT
-        # Per-pivot state, built once and kept up to date at each pivot
-        # (bounds stay put while the dual pivots): the directions, the
-        # nonbasic values (stale at basic positions, which the objective
-        # overwrites with beta), and the bounds and feasibility tolerance
-        # of each basic position.  The tolerance scales with finite bounds.
-        dirv = self._directions()
-        xnb = self._nonbasic_values()
-        col_tol = _PRIMAL_TOL * np.maximum(
-            1.0,
-            np.maximum(
-                np.where(np.isfinite(self.lb), np.abs(self.lb), 0.0),
-                np.where(np.isfinite(self.ub), np.abs(self.ub), 0.0),
-            ),
-        )
-        lb_b = self.lb[self.basis]
-        ub_b = self.ub[self.basis]
-        tol = col_tol[self.basis]
-
-        def objective() -> float:
-            # The vector and the dot product of ``objective()``: a running
-            # sum would move the last bits that the cutoff test compares.
-            return float(self.c @ self._with_basic(xnb.copy()))
+        # The workspace's state, which each pivot keeps up to date (bounds
+        # stay put while the dual pivots).
+        dirv, xnb, col_tol = self.dirv, self.xnb, self.col_tol
+        lb_b, ub_b, tol = self.lb_b, self.ub_b, self.tol_b
+        row_of = self.row_of
 
         while True:
-            if cutoff is not None and objective() > cutoff:
+            # The full objective, not a running sum, which would move the
+            # last bits that the cutoff test compares.
+            if cutoff is not None and self.objective() > cutoff:
                 # The running objective is a dual bound; past the cutoff
                 # the caller will discard this node, so stop pivoting as
                 # soon as a drift check (or a refactorization) confirms.
-                if self._solution_residual() <= 1e-9:
+                if self._solution_residual() <= _RESIDUAL_TOL:
                     return STATUS_CUTOFF
                 self._refactor()
                 d = self._reduced_costs(c)
                 since_refactor = 0
-                if objective() > cutoff:
+                if self.objective() > cutoff:
                     return STATUS_CUTOFF
             viol_lo = lb_b - self.beta
             viol_hi = self.beta - ub_b
@@ -439,7 +465,7 @@ class LpWorkspace:
                     return STATUS_OPTIMAL
                 # Accept a drift-free basis without the cost of a full
                 # refactorization; fall back to one otherwise.
-                if self._solution_residual() <= 1e-9:
+                if self._solution_residual() <= _RESIDUAL_TOL:
                     return STATUS_OPTIMAL
                 self._refactor()
                 d = self._reduced_costs(c)
@@ -478,7 +504,7 @@ class LpWorkspace:
 
             ratios = np.abs(d[cand]) / np.abs(arow[cand])
             best = float(ratios.min())
-            ties = cand[ratios <= best * (1 + 1e-9) + 1e-12]
+            ties = cand[ratios <= best * (1 + _TIE_REL) + _TIE_ABS]
             if bland:
                 q = int(ties[0])
             else:
@@ -498,6 +524,8 @@ class LpWorkspace:
             dirv[leaving] = self._leave(leaving, to_ub=above)
             xnb[leaving] = (self.ub if dirv[leaving] < 0 else self.lb)[leaving]
             self.basis[r] = q
+            row_of[leaving] = -1
+            row_of[q] = r
             self.stat[q] = BASIC
             dirv[q] = 0.0
             lb_b[r] = self.lb[q]
@@ -507,7 +535,7 @@ class LpWorkspace:
             theta = d[q] / arow[q]
             d -= theta * arow
             d[q] = 0.0
-            stall = stall + 1 if abs(delta) <= 1e-10 else 0
+            stall = stall + 1 if abs(delta) <= _STALL_STEP else 0
             if stall > _STALL_LIMIT:
                 bland = True
             self._update_binv(alpha, rho, r)
@@ -528,19 +556,25 @@ class LpWorkspace:
     def set_branch(self, branch: dict[int, tuple[float, float]]) -> bool:
         """Replace the branching bounds; False when they conflict.
 
-        Bounds intersect the problem's root bounds.  Nonbasic variables
-        snap to their new bound values and the basic solution shifts
-        accordingly; ``solve_dual`` then restores feasibility.
+        Bounds intersect the problem's root bounds.  Only the columns
+        whose branch entry differs from the one in place are touched:
+        nonbasic ones snap to their new bound values, which shifts the
+        basic solution, and the dual's state follows; ``solve_dual``
+        then restores feasibility.
         """
         if not self._basis_ready:
             raise SolverError("solve_primal must run before set_branch")
-        touched = set(self._branch) | set(branch)
+        old = self._branch
         updates: dict[int, tuple[float, float]] = {}
-        for j in touched:
-            lo, hi = branch.get(j, (-np.inf, np.inf))
+        # The union's order is the order of the shift's sums below.
+        for j in set(old) | set(branch):
+            entry = branch.get(j)
+            if entry == old.get(j):
+                continue  # bounds in place, which passed the test below
+            lo, hi = (-np.inf, np.inf) if entry is None else entry
             lo = max(lo, float(self.root_lb[j]))
             hi = min(hi, float(self.root_ub[j]))
-            if lo > hi + 1e-12:
+            if lo > hi + _CONFLICT_TOL:
                 # Nothing is applied: the bounds in place stay those of
                 # the branch before, which the next call must reset.
                 self._conflict = True
@@ -552,27 +586,37 @@ class LpWorkspace:
         d = None
         delta_cols: list[tuple[int, float]] = []
         for j, (lo, hi) in updates.items():
-            old_val = None
-            if self.stat[j] != BASIC:
-                old_val = float(
-                    self.ub[j] if self.stat[j] == AT_UB else self.lb[j]
-                )
             self.lb[j] = lo
             self.ub[j] = hi
-            if self.stat[j] == BASIC:
+            # _feasibility_tol on one column
+            self.col_tol[j] = _PRIMAL_TOL * max(
+                1.0,
+                abs(lo) if lo > -np.inf else 0.0,
+                abs(hi) if hi < np.inf else 0.0,
+            )
+            stat = self.stat[j]
+            if stat == BASIC:
+                r = self.row_of[j]
+                self.lb_b[r] = lo
+                self.ub_b[r] = hi
+                self.tol_b[r] = self.col_tol[j]
                 continue
+            old_val = float(self.xnb[j])
             if lo == hi:
-                self.stat[j] = FIXED
-            elif self.stat[j] == FIXED:
+                stat = FIXED
+            elif stat == FIXED:
                 if d is None:
                     d = self._reduced_costs(self.c)
                 want_ub = d[j] < 0 and np.isfinite(hi)
-                self.stat[j] = AT_UB if want_ub else AT_LB
-            elif self.stat[j] == AT_UB and not np.isfinite(hi):
-                self.stat[j] = AT_LB
-            new_val = float(
-                self.ub[j] if self.stat[j] == AT_UB else self.lb[j]
+                stat = AT_UB if want_ub else AT_LB
+            elif stat == AT_UB and not np.isfinite(hi):
+                stat = AT_LB
+            self.stat[j] = stat
+            self.dirv[j] = (
+                1.0 if stat == AT_LB else -1.0 if stat == AT_UB else 0.0
             )
+            new_val = float(hi if stat == AT_UB else lo)
+            self.xnb[j] = new_val
             if new_val != old_val:
                 delta_cols.append((j, new_val - old_val))
         if delta_cols and self.m:
@@ -593,17 +637,17 @@ class LpWorkspace:
             return STATUS_INFEASIBLE
         return self._dual(self.c, cutoff)
 
-    def _with_basic(self, v: np.ndarray) -> np.ndarray:
-        """Fill the basic positions of a nonbasic value vector in place."""
-        if self.m:
-            v[self.basis] = self.beta
-        return v
-
     def values_extended(self) -> np.ndarray:
-        return self._with_basic(self._nonbasic_values())
+        """Values of all columns, slacks included.
+
+        The workspace's own vector, with beta written into its basic
+        positions: valid until the next ``set_branch`` or solve.
+        """
+        self.xnb[self.basis] = self.beta
+        return self.xnb
 
     def values(self) -> np.ndarray:
-        return self.values_extended()[: self.n_struct]
+        return self.values_extended()[: self.n_struct].copy()
 
     def objective(self) -> float:
         return float(self.c @ self.values_extended())

@@ -520,6 +520,80 @@ def test_refactor_matches_a_full_inverse():
         ws._refactor()
 
 
+def assert_resident_state(ws: LpWorkspace):
+    """The dual's state kept in the workspace equals a rebuild from scratch."""
+    nonbasic = ws.stat != simplex.BASIC
+    assert np.array_equal(ws.dirv, ws._directions())
+    assert np.array_equal(ws.xnb[nonbasic], ws._nonbasic_values()[nonbasic])
+    finite_lb = np.where(np.isfinite(ws.lb), np.abs(ws.lb), 0.0)
+    finite_ub = np.where(np.isfinite(ws.ub), np.abs(ws.ub), 0.0)
+    col_tol = simplex._PRIMAL_TOL * np.maximum(
+        1.0, np.maximum(finite_lb, finite_ub)
+    )
+    assert np.array_equal(ws.col_tol, col_tol)
+    assert np.array_equal(ws.lb_b, ws.lb[ws.basis])
+    assert np.array_equal(ws.ub_b, ws.ub[ws.basis])
+    assert np.array_equal(ws.tol_b, col_tol[ws.basis])
+    row_of = np.full(ws.ncols, -1)
+    row_of[ws.basis] = np.arange(ws.m)
+    assert np.array_equal(ws.row_of, row_of)
+
+
+def test_resident_state_matches_a_rebuild_after_every_step():
+    """Pivots and bound changes keep the dual's state exact.
+
+    Random walks over branches on seeded random models: binaries fixed
+    and freed, conflicting entries, new bounds on continuous x columns,
+    and solves stopped at a cutoff.  After every ``set_branch`` and
+    every ``solve_dual`` the state must equal a rebuild.
+    """
+    rng = random.Random(2718)
+    seen = dict(conflict=0, freed=0, basic_bounds=0, cutoff=0, optimal=0)
+    for _ in range(12):
+        prob = build_milp(random_scenario(rng.randrange(2**31)))
+        ws = LpWorkspace(prob)
+        if ws.solve_primal() != STATUS_OPTIMAL:
+            continue
+        assert_resident_state(ws)
+        binaries = [int(j) for j in prob.binary_indices()]
+        xs = [j for j, v in enumerate(prob.variables) if v.role == "assign"]
+        branch: dict[int, tuple[float, float]] = {}
+        for step in range(16):
+            new = dict(branch)
+            move = step % 4
+            if move == 0 or not new:  # fix more binaries
+                for j in rng.sample(binaries, min(2, len(binaries))):
+                    new[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
+            elif move == 1:  # free one entry again
+                del new[rng.choice(sorted(new))]
+            elif move == 2:  # narrow a continuous x column
+                j = rng.choice(xs)
+                hi = ws.root_ub[j]
+                new[j] = (rng.uniform(0.0, 0.5) * hi, rng.uniform(0.5, 1) * hi)
+            else:  # an entry that empties a binary's bounds
+                new[rng.choice(binaries)] = (2.0, 3.0)
+            fixed = ws.stat == simplex.FIXED
+            basic = ws.stat == simplex.BASIC
+            moved = [j for j in set(new) | set(branch)
+                     if new.get(j) != branch.get(j)]
+            if ws.set_branch(new):
+                branch = new
+                seen["freed"] += int((fixed & (ws.stat != simplex.FIXED)).sum())
+                seen["basic_bounds"] += int(basic[moved].sum())
+            else:
+                seen["conflict"] += 1
+            assert_resident_state(ws)
+            cutoff = None
+            if step % 3 == 2:
+                # The objective of the shifted basis bounds the branch's
+                # optimum from below, so the solve stops at this cutoff.
+                cutoff = ws.objective() - 1e-3
+            status = ws.solve_dual(cutoff)
+            seen[status] = seen.get(status, 0) + 1
+            assert_resident_state(ws)
+    assert min(seen.values()) >= 3, seen
+
+
 def test_branch_conflict_is_reported():
     prob = build_milp(random_scenario(3))
     j = int(prob.binary_indices()[0])

@@ -182,6 +182,29 @@ def test_root_is_solved_and_counted_once(monkeypatch):
     assert all(branches)
 
 
+@pytest.mark.parametrize(
+    "scenario, budget, status, reason",
+    [
+        # small@1 is proven at its root, inside a one-node budget
+        (lambda: build_reference_scenario("small", 1), {"node_limit": 1},
+         "optimal", "optimal"),
+        (lambda: build_reference_scenario("small", 4), {"node_limit": 150},
+         "timeout", "node_limit"),
+        (lambda: build_reference_scenario("small", 4), {"time_limit_s": 0},
+         "timeout", "time_limit"),
+        # random_scenario(2)'s root relaxation is infeasible
+        (lambda: random_scenario(2), {}, "infeasible", "infeasible"),
+    ],
+    ids=["optimal", "node_limit", "time_limit", "infeasible"],
+)
+def test_stop_reason_names_what_ended_the_search(
+    scenario, budget, status, reason
+):
+    sol = solve_scenario(scenario(), **budget)
+    assert sol.status == status
+    assert sol.stats.stop_reason == reason
+
+
 def test_time_limit_flags_the_result():
     s = build_reference_scenario("small", 5)
     sol = solve_scenario(s, time_limit_s=1e-9)
