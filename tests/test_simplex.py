@@ -395,7 +395,7 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
         assert ws.t == (root_t + pivots) % simplex._FOLD_EVERY
         B = dense_basis(ws)
         binv = np.linalg.inv(B)
-        rows = np.array([ws._pivot_row(r) for r in range(m)])
+        rows = np.array([ws._pivot_row(r)[0] for r in range(m)])
         cols = np.column_stack([ws._ftran_column(int(j)) for j in ws.basis])
         assert np.abs(rows - binv).max() <= 1e-8 * np.abs(binv).max()
         assert np.abs(rows @ B - eye).max() <= 1e-8
@@ -537,6 +537,41 @@ def assert_resident_state(ws: LpWorkspace):
     row_of = np.full(ws.ncols, -1)
     row_of[ws.basis] = np.arange(ws.m)
     assert np.array_equal(ws.row_of, row_of)
+    if ws.tableau and ws.m:
+        T = np.linalg.inv(dense_basis(ws)) @ ws.A_dense
+        assert np.abs(ws.T - T).max() <= 1e-9 * max(1.0, np.abs(T).max())
+        d = ws.c - ws.c[ws.basis] @ T
+        assert np.abs(ws.d - d).max() <= 1e-9 * max(1.0, np.abs(d).max())
+
+
+def next_branch(
+    rng: random.Random,
+    ws: LpWorkspace,
+    branch: dict[int, tuple[float, float]],
+    step: int,
+) -> dict[int, tuple[float, float]]:
+    """One step of a random walk over branches, by the step's number.
+
+    Fixes more binaries, frees one entry again, narrows a continuous x
+    column, or adds an entry that empties a binary's bounds.
+    """
+    prob = ws.problem
+    binaries = [int(j) for j in prob.binary_indices()]
+    new = dict(branch)
+    move = step % 4
+    if move == 0 or not new:  # fix more binaries
+        for j in rng.sample(binaries, min(2, len(binaries))):
+            new[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
+    elif move == 1:  # free one entry again
+        del new[rng.choice(sorted(new))]
+    elif move == 2:  # narrow a continuous x column
+        xs = [j for j, v in enumerate(prob.variables) if v.role == "assign"]
+        j = rng.choice(xs)
+        hi = ws.root_ub[j]
+        new[j] = (rng.uniform(0.0, 0.5) * hi, rng.uniform(0.5, 1) * hi)
+    else:  # an entry that empties a binary's bounds
+        new[rng.choice(binaries)] = (2.0, 3.0)
+    return new
 
 
 def test_resident_state_matches_a_rebuild_after_every_step():
@@ -545,33 +580,22 @@ def test_resident_state_matches_a_rebuild_after_every_step():
     Random walks over branches on seeded random models: binaries fixed
     and freed, conflicting entries, new bounds on continuous x columns,
     and solves stopped at a cutoff.  After every ``set_branch`` and
-    every ``solve_dual`` the state must equal a rebuild.
+    every ``solve_dual`` the state must equal a rebuild; the tableau
+    these models keep must equal B^-1 [A | I] and its reduced costs
+    c - c_B' T.
     """
     rng = random.Random(2718)
     seen = dict(conflict=0, freed=0, basic_bounds=0, cutoff=0, optimal=0)
     for _ in range(12):
         prob = build_milp(random_scenario(rng.randrange(2**31)))
         ws = LpWorkspace(prob)
+        assert ws.tableau
         if ws.solve_primal() != STATUS_OPTIMAL:
             continue
         assert_resident_state(ws)
-        binaries = [int(j) for j in prob.binary_indices()]
-        xs = [j for j, v in enumerate(prob.variables) if v.role == "assign"]
         branch: dict[int, tuple[float, float]] = {}
         for step in range(16):
-            new = dict(branch)
-            move = step % 4
-            if move == 0 or not new:  # fix more binaries
-                for j in rng.sample(binaries, min(2, len(binaries))):
-                    new[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
-            elif move == 1:  # free one entry again
-                del new[rng.choice(sorted(new))]
-            elif move == 2:  # narrow a continuous x column
-                j = rng.choice(xs)
-                hi = ws.root_ub[j]
-                new[j] = (rng.uniform(0.0, 0.5) * hi, rng.uniform(0.5, 1) * hi)
-            else:  # an entry that empties a binary's bounds
-                new[rng.choice(binaries)] = (2.0, 3.0)
+            new = next_branch(rng, ws, branch, step)
             fixed = ws.stat == simplex.FIXED
             basic = ws.stat == simplex.BASIC
             moved = [j for j in set(new) | set(branch)
@@ -592,6 +616,102 @@ def test_resident_state_matches_a_rebuild_after_every_step():
             seen[status] = seen.get(status, 0) + 1
             assert_resident_state(ws)
     assert min(seen.values()) >= 3, seen
+
+
+def product_form(monkeypatch):
+    """Make workspaces built from now on keep the product form."""
+    monkeypatch.setattr(simplex, "_TABLEAU_ROWS", -1)
+
+
+def test_tableau_agrees_with_the_product_form(monkeypatch):
+    """The two forms of the inverse reach the same verdicts and optima.
+
+    Seeded random models, each solved at the root and along a random
+    walk over branches (conflicts, freed fixed columns, cutoff stops) in
+    a tableau workspace and in a product-form one.  A cutoff just below
+    the shifted objective is set only where a cold solve finds the
+    branch feasible, so that both forms must stop at it.
+    """
+    rng = random.Random(1618)
+    seen = dict(conflict=0, freed=0, cutoff=0, optimal=0, infeasible=0)
+    for _ in range(12):
+        prob = build_milp(random_scenario(rng.randrange(2**31)))
+        tab = LpWorkspace(prob)
+        with monkeypatch.context() as patch:
+            product_form(patch)
+            prod = LpWorkspace(prob)
+        assert tab.tableau and not prod.tableau
+        status = tab.solve_primal()
+        assert prod.solve_primal() == status
+        if status != STATUS_OPTIMAL:
+            continue
+        branch: dict[int, tuple[float, float]] = {}
+        for step in range(16):
+            new = next_branch(rng, tab, branch, step)
+            fixed = tab.stat == simplex.FIXED
+            applied = tab.set_branch(new)
+            assert prod.set_branch(new) == applied
+            if applied:
+                branch = new
+                freed = fixed & (tab.stat != simplex.FIXED)
+                seen["freed"] += int(freed.sum())
+            else:
+                seen["conflict"] += 1
+            cutoff = None
+            if step % 3 == 2 and applied:
+                if LpWorkspace(prob, branch).solve_primal() == STATUS_OPTIMAL:
+                    cutoff = tab.objective() - 1e-3
+            status = tab.solve_dual(cutoff)
+            assert prod.solve_dual(cutoff) == status
+            seen[status] += 1
+            if status == STATUS_OPTIMAL:
+                z = prod.objective()
+                assert abs(tab.objective() - z) <= 1e-9 * (1.0 + abs(z))
+    assert min(seen.values()) >= 3, seen
+
+
+def test_row_count_chooses_the_form_of_the_inverse():
+    """The 79-row small@1 keeps the product form; every model of the
+    benchmark's mini corpus (1000 seeds drawn by ``random.Random(42)``)
+    keeps the tableau."""
+    small = LpWorkspace(build_milp(build_reference_scenario("small", 1)))
+    assert small.m == 79 and not small.tableau
+    rng = random.Random(42)
+    for _ in range(1000):
+        prob = build_milp(random_scenario(rng.randrange(2**31)))
+        assert LpWorkspace(prob).tableau
+
+
+@pytest.mark.parametrize("tableau", [True, False])
+def test_infeasible_node_is_refactorized_once(monkeypatch, tableau):
+    """A second row without an entering column ends the solve.
+
+    Fixing both columns at zero leaves the >= row unmet with nothing
+    that can move; the first such row is checked by a refactorization,
+    and the next one, with nothing pivoted since, is not.
+    """
+    if not tableau:
+        product_form(monkeypatch)
+    ws = LpWorkspace(
+        two_var_problem(
+            (((0, 1.0), (1, 1.0)), ">=", 1.0),
+            (((0, 1.0), (1, -1.0)), "<=", 3.0),
+        )
+    )
+    assert ws.m == 2 and ws.tableau == tableau
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    assert ws.set_branch({0: (0.0, 0.0), 1: (0.0, 0.0)})
+    calls = 0
+    refactor = ws._refactor
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        refactor()
+
+    monkeypatch.setattr(ws, "_refactor", counted)
+    assert ws.solve_dual() == STATUS_INFEASIBLE
+    assert calls == 1
 
 
 def test_branch_conflict_is_reported():

@@ -8,8 +8,12 @@ the package imports itself only relatively), and each side builds its
 inputs with its own package.  The sides then solve the same instances
 alternately, one instance at a time, flipping which side goes first at
 every instance, so a host whose speed wanders from minute to minute
-slows both alike.  Prints each side's seconds, node total and pivot
-total, and the ratio B/A of the seconds.
+slows both alike.  Prints each side's seconds, node total, pivot total
+and the sum of its finite objectives, the number of instances whose
+status or objective differs between the sides (objectives by more than
+``OBJ_REL`` relative), and the ratio B/A of the seconds.  A change that
+moves pivot paths moves the last bits of the objectives, so the
+comparison comes with every timing.
 
 ``mini`` is the timed corpus of ``bench/workloads.py``: 1000 random
 scenarios from the seeds that ``random.Random(42)`` draws, solved with
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import random
 import shutil
 import sys
@@ -32,6 +37,7 @@ from pathlib import Path
 
 MINI_CORPUS_SEED = 42  # bench/workloads.py's MINI_CORPUS_SEED
 MINI_CORPUS_SIZE = 1000
+OBJ_REL = 1e-6  # objectives further apart than this, relative, differ
 
 
 def load(checkout: str, name: str, tmp: Path):
@@ -61,6 +67,16 @@ def jobs(pkg, workload: str) -> list:
     ]
 
 
+def differs(a, b) -> bool:
+    """Whether two solutions of one instance disagree."""
+    if a.status != b.status:
+        return True
+    za, zb = a.objective, b.objective
+    if not (math.isfinite(za) and math.isfinite(zb)):
+        return math.isfinite(za) != math.isfinite(zb)
+    return abs(za - zb) > OBJ_REL * max(1.0, abs(za), abs(zb))
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("a", help="the first checkout (the base of the ratio)")
@@ -84,22 +100,33 @@ def main(argv=None) -> None:
         seconds = [0.0, 0.0]
         nodes = [0, 0]
         pivots = [0, 0]
+        objective_sum = [0.0, 0.0]
+        differing = 0
         first = 0
-        for _ in range(args.passes):
+        for pass_no in range(args.passes):
             for i in range(len(work[0])):
+                solutions = [None, None]
                 for side in (first, 1 - first):
                     t0 = time.perf_counter()
                     solution = work[side][i]()
                     seconds[side] += time.perf_counter() - t0
                     nodes[side] += solution.stats.explored_nodes
                     pivots[side] += solution.stats.lp_iterations
+                    solutions[side] = solution
                 first = 1 - first
+                if pass_no == 0:  # later passes repeat the same solves
+                    for side in (0, 1):
+                        if math.isfinite(solutions[side].objective):
+                            objective_sum[side] += solutions[side].objective
+                    differing += differs(*solutions)
 
     for label, path, side in (("A", args.a, 0), ("B", args.b, 1)):
         print(
             f"{label} {path}: {seconds[side]:.3f} s, "
-            f"{nodes[side]} nodes, {pivots[side]} pivots"
+            f"{nodes[side]} nodes, {pivots[side]} pivots, "
+            f"objective sum {objective_sum[side]!r} W"
         )
+    print(f"instances that differ: {differing} of {len(work[0])}")
     print(f"B/A: {seconds[1] / seconds[0]:.3f}")
 
 
