@@ -23,7 +23,6 @@ from .milp import (
     build_milp,
     check_assignment,
     clean_assignment,
-    cleanup_arrays,
     extract_placement,
     interchange_classes,
 )
@@ -36,6 +35,9 @@ from .simplex import (
 from .types import Placement, PlacementError, Scenario
 
 STATUS_TIMEOUT = "timeout"
+
+# Incumbent objectives this close (watts) tie; the binary pattern decides.
+_TIE_W = 1e-9
 
 
 @dataclass
@@ -116,7 +118,6 @@ def branch_and_bound(
         return done(STATUS_INFEASIBLE, float("nan"), None)
 
     binaries = problem.binary_indices()
-    cleanup = cleanup_arrays(problem)
     cvec = problem.objective_vector()
 
     # Binary j >= DN sits at node (j - DN) % N of the block that starts at
@@ -141,9 +142,9 @@ def branch_and_bound(
         # Feasibility cannot matter for a vector that does not reach the
         # incumbent, so it is checked last.
         obj = float(cvec @ vec)
-        if obj > inc_obj + 1e-9 or check_assignment(problem, vec):
+        if obj > inc_obj + _TIE_W or check_assignment(problem, vec):
             return
-        if obj < inc_obj - 1e-9:
+        if obj < inc_obj - _TIE_W:
             inc_vec, inc_obj, inc_key = vec, obj, _key_of(vec, binaries)
         else:
             key = _key_of(vec, binaries)
@@ -172,7 +173,7 @@ def branch_and_bound(
             vals = ws.values_extended()
             node_obj = float(ws.c @ vals)  # ws.objective(), from vals
         if solved and node_obj < inc_obj - gap:
-            consider(clean_assignment(problem, vals[: cvec.size], cleanup))
+            consider(clean_assignment(problem, vals[: cvec.size]))
             bin_vals = vals[binaries]
             frac = np.abs(bin_vals - np.round(bin_vals)) > FEAS_TOL
             # The heuristic may have closed this node.

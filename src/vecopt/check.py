@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .bnb import solve_scenario
 from .oracle import exhaustive_oracle
 from .randgen import random_scenario
+
+OBJ_ABS_TOL = 1e-6  # watts two optimal objectives may differ by
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,11 @@ def cross_check(
     *,
     max_nodes: int = 6,
     max_demands: int = 3,
-    abs_tol: float = 1e-6,
 ) -> CheckReport:
     """Solve seeded random instances both ways and compare verdicts.
 
     Statuses must agree; when both are optimal the objectives must match
-    within ``abs_tol`` watts.
+    within ``OBJ_ABS_TOL`` watts.
     """
     rng = random.Random(seed)
     results = []
@@ -64,11 +66,11 @@ def cross_check(
             disc = float("inf")
         elif want.status == "optimal":
             disc = abs(got.objective - want.objective)
-            agree = disc <= abs_tol
+            agree = disc <= OBJ_ABS_TOL
         else:
             agree = True
             disc = 0.0
-        if disc not in (float("inf"),):
+        if math.isfinite(disc):
             worst = max(worst, disc)
         results.append(
             CheckResult(

@@ -40,6 +40,7 @@ import numpy as np
 from .power import derive_power_params
 from .types import (
     IFACE_DSRC,
+    PLACEMENT_THRESHOLD,
     Placement,
     PlacementError,
     Scenario,
@@ -142,6 +143,31 @@ class MilpProblem:
         for array in vars(form).values():
             array.flags.writeable = False
         return form
+
+    @functools.cached_property
+    def cleanup(self) -> CleanupArrays:
+        """Demand workloads, sources and route relays as arrays."""
+        scenario = self.scenario
+        D, N = self.n_demands, self.n_nodes
+        node_pos = {node_id: n for n, node_id in enumerate(self.node_ids)}
+        workload = np.array([dm.workload_mips for dm in scenario.demands])
+        sources = np.zeros(N, dtype=bool)
+        relays = np.zeros((D, N, N), dtype=bool)
+        for d, demand in enumerate(scenario.demands):
+            sources[node_pos[demand.source]] = True
+            for n, node_id in enumerate(self.node_ids):
+                route = scenario.path_intermediates(demand.source, node_id)
+                for relay in route:
+                    relays[d, n, node_pos[relay]] = True
+        arrays = CleanupArrays(
+            workload=workload,
+            floor=1e-7 * workload,
+            sources=sources,
+            relays=relays,
+        )
+        for array in vars(arrays).values():
+            array.flags.writeable = False
+        return arrays
 
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.sparse.binary)
@@ -495,9 +521,7 @@ def check_assignment(problem: MilpProblem, values: Sequence[float]) -> list[str]
 
 
 def extract_placement(
-    problem: MilpProblem,
-    values: Sequence[float],
-    threshold: float = 1e-9,
+    problem: MilpProblem, values: Sequence[float]
 ) -> Placement:
     """Read a placement out of a solved assignment vector.
 
@@ -516,9 +540,9 @@ def extract_placement(
     for d, demand_id in enumerate(problem.demand_ids):
         for n, node_id in enumerate(problem.node_ids):
             amount = float(v[problem.x_index(d, n)])
-            if amount > threshold:
+            if amount > PLACEMENT_THRESHOLD:
                 x[(demand_id, node_id)] = amount
-    return Placement.build(problem.scenario, x, threshold=threshold)
+    return Placement.build(problem.scenario, x)
 
 
 def assignment_from_placement(
@@ -550,41 +574,15 @@ class CleanupArrays:
     relays: np.ndarray  # (D, N, N) bool, [d, n, m]: m relays d's route to n
 
 
-def cleanup_arrays(problem: MilpProblem) -> CleanupArrays:
-    """Demand workloads, sources and route relays as arrays."""
-    scenario = problem.scenario
-    D, N = problem.n_demands, problem.n_nodes
-    node_pos = {node_id: n for n, node_id in enumerate(problem.node_ids)}
-    workload = np.array([dm.workload_mips for dm in scenario.demands])
-    sources = np.zeros(N, dtype=bool)
-    relays = np.zeros((D, N, N), dtype=bool)
-    for d, demand in enumerate(scenario.demands):
-        sources[node_pos[demand.source]] = True
-        for n, node_id in enumerate(problem.node_ids):
-            for relay in scenario.path_intermediates(demand.source, node_id):
-                relays[d, n, node_pos[relay]] = True
-    return CleanupArrays(
-        workload=workload,
-        floor=1e-7 * workload,
-        sources=sources,
-        relays=relays,
-    )
-
-
-def clean_assignment(
-    problem: MilpProblem,
-    values: np.ndarray,
-    arrays: CleanupArrays | None = None,
-) -> np.ndarray:
+def clean_assignment(problem: MilpProblem, values: np.ndarray) -> np.ndarray:
     """Strip solver noise from an integral assignment.
 
     Zeroes assignment crumbs below a relative threshold, rescales each
     demand's remaining shares so conservation holds exactly, and rederives
-    y and a from the cleaned x plus route requirements.  Callers that
-    clean many vectors of one model pass ``cleanup_arrays(problem)``.
+    y and a from the cleaned x plus route requirements.  The arrays it
+    reads are built once per model, as ``problem.cleanup``.
     """
-    if arrays is None:
-        arrays = cleanup_arrays(problem)
+    arrays = problem.cleanup
     v = np.array(values, dtype=float)
     D, N = problem.n_demands, problem.n_nodes
     DN = D * N

@@ -114,12 +114,10 @@ def _split_workloads(
     return True, cost, x
 
 
-def exhaustive_oracle(
-    scenario: Scenario, *, max_cells: int = MAX_CELLS
-) -> MilpSolution:
+def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
     """Provably optimal placement by enumeration of serving patterns.
 
-    Refuses instances where demands x nodes exceeds ``max_cells``.
+    Refuses instances where demands x nodes exceeds ``MAX_CELLS``.
     Returns the same solution shape as the branch-and-bound driver with
     matching status conventions.
     """
@@ -127,9 +125,9 @@ def exhaustive_oracle(
     demands = scenario.demands
     nodes = scenario.nodes
     D, N = len(demands), len(nodes)
-    if D * N > max_cells:
+    if D * N > MAX_CELLS:
         raise OracleSizeError(
-            f"{D} demands x {N} nodes exceeds the {max_cells}-cell budget"
+            f"{D} demands x {N} nodes exceeds the {MAX_CELLS}-cell budget"
         )
 
     params = [derive_power_params(n, scenario.options) for n in nodes]

@@ -14,6 +14,7 @@ from typing import Mapping
 
 from .types import (
     IFACE_CORE,
+    IFACE_DSRC,
     ModelOptions,
     NodeSpec,
     Placement,
@@ -22,6 +23,9 @@ from .types import (
     TIER_CLOUD,
     TIERS,
 )
+
+# Relative slack of the link and shared-medium bandwidth checks.
+BANDWIDTH_REL_TOL = 1e-6
 
 
 def sig(value: float) -> float:
@@ -224,26 +228,25 @@ def _link_loads(scenario: Scenario, placement: Placement) -> dict[str, float]:
     return loads
 
 
-def check_bandwidth(
-    scenario: Scenario, placement: Placement, rel_tol: float = 1e-6
-) -> list[str]:
+def check_bandwidth(scenario: Scenario, placement: Placement) -> list[str]:
     """Bandwidth violations of a placement, as human-readable strings."""
     out = []
     loads = _link_loads(scenario, placement)
-    if scenario.options.dsrc_medium == "shared":
-        dsrc_links = [l for l in scenario.links if l.kind == "dsrc"]
+    shared = scenario.options.dsrc_medium == "shared"
+    if shared:
+        dsrc_links = [l for l in scenario.links if l.kind == IFACE_DSRC]
         if dsrc_links:
             medium = min(l.capacity_bps for l in dsrc_links)
             total = sum(loads.get(l.id, 0.0) for l in dsrc_links)
-            if total > medium * (1 + rel_tol):
+            if total > medium * (1 + BANDWIDTH_REL_TOL):
                 out.append(
                     f"shared dsrc medium: {total:g} bps exceeds {medium:g}"
                 )
     for link in scenario.links:
-        if link.kind == "dsrc" and scenario.options.dsrc_medium == "shared":
+        if shared and link.kind == IFACE_DSRC:
             continue
         load = loads.get(link.id, 0.0)
-        if load > link.capacity_bps * (1 + rel_tol):
+        if load > link.capacity_bps * (1 + BANDWIDTH_REL_TOL):
             out.append(
                 f"link {link.id}: {load:g} bps exceeds {link.capacity_bps:g}"
             )

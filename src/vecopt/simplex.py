@@ -29,16 +29,18 @@ structural columns meet the remaining rows.  LAPACK inverts the kernel
 (about half of m on the placement models); one product with the kernel's
 inverse gives the slack rows of B^-1, and the rest is identity or zero.
 
-The workspace keeps the dual's per-node state between calls: the
-direction each nonbasic column may move in, the nonbasic values, each
-column's feasibility tolerance, the bounds and tolerance of each basic
-position, and the basis row of each basic column.  ``_start_basis``
-builds it, each pivot updates the entries it changes, and
-``set_branch`` updates the columns whose bounds it moves, so a warm
-re-solve pays for its pivots and not for rebuilding that state.  What
-each call still recomputes is the residual check that accepts a basis
-without a refactorization and, in the product form, the reduced costs,
-from a BTRAN of the basic costs.
+The workspace keeps the dual's per-node state between calls.  A
+column's state is its direction and its basis row: ``dirv`` is +1 for a
+nonbasic column at its lower bound, -1 at its upper bound and 0 for a
+basic or fixed one, and ``row_of`` is a basic column's row of the basis,
+-1 for a nonbasic one.  Beside them sit the nonbasic values, each
+column's feasibility tolerance, and the bounds and tolerance of each
+basic position.  ``_start_basis`` builds that state, each pivot updates
+the entries it changes, and ``set_branch`` updates the columns whose
+bounds it moves, so a warm re-solve pays for its pivots and not for
+rebuilding that state.  What each call still recomputes is the residual
+check that accepts a basis without a refactorization and, in the
+product form, the reduced costs, from a BTRAN of the basic costs.
 
 Models of at most ``_TABLEAU_ROWS`` rows hold the inverse in a second
 form: the dense tableau T = B^-1 [A | I], m x (n + m), whose last m
@@ -69,8 +71,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import SENSE_EQ, SENSE_GE, MilpProblem
-
-AT_LB, AT_UB, BASIC, FIXED = 0, 1, 2, 3
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -186,6 +186,12 @@ class LpWorkspace:
     ``solve_primal`` computes the root optimum with the dual simplex from
     a fresh slack basis; ``set_branch`` plus ``solve_dual`` re-optimize
     after bound changes, restarting from the previous optimal basis.
+
+    A column's state is its direction ``dirv`` and its basis row
+    ``row_of`` (module docstring); ``xnb`` holds the values of the
+    nonbasic columns.  A nonbasic column may move in its direction only,
+    so the pricing and ratio tests compare ``dirv * d`` or ``dirv * arow``
+    against one threshold (negation is exact).
     """
 
     def __init__(
@@ -281,22 +287,6 @@ class LpWorkspace:
             minlength=self.m,
         )
 
-    def _nonbasic_values(self) -> np.ndarray:
-        v = np.where(self.stat == AT_UB, self.ub, self.lb)
-        v[self.stat == BASIC] = 0.0
-        return v
-
-    def _directions(self) -> np.ndarray:
-        """+1 at a lower bound, -1 at an upper bound, 0 basic or fixed.
-
-        A nonbasic column may move in its direction only, so the pricing
-        and ratio tests compare ``dirv * d`` or ``dirv * arow`` against one
-        threshold in place of a mask per status (negation is exact).
-        """
-        return np.where(
-            self.stat == AT_LB, 1.0, np.where(self.stat == AT_UB, -1.0, 0.0)
-        )
-
     # -- basis management --------------------------------------------------
 
     def _start_basis(self):
@@ -311,10 +301,7 @@ class LpWorkspace:
         at_ub = self.c < 0
         if np.isinf(np.where(at_ub, self.ub, self.lb)).any():
             raise SolverError("a column's cost prefers an infinite bound")
-        self.stat = np.where(at_ub, AT_UB, AT_LB).astype(np.int8)
-        self.stat[self.lb == self.ub] = FIXED
         self.basis = np.arange(n, n + m, dtype=np.intp)
-        self.stat[self.basis] = BASIC
         if self.tableau:
             self.T = self.A_dense.copy()  # B = I
             self.d = self.c.copy()
@@ -323,11 +310,15 @@ class LpWorkspace:
             self.t = 0
         self.since_refactor = 0  # pivots since the last refactorization
         # The dual's state (module docstring): the basic positions of
-        # ``xnb`` are stale, filled with beta wherever it is read whole.
+        # ``xnb`` are stale, filled with beta (or zeros, to refactor)
+        # wherever it is read whole.
         self.row_of = np.full(self.ncols, -1, dtype=np.intp)
         self.row_of[self.basis] = np.arange(m)
-        self.dirv = self._directions()
-        self.xnb = self._nonbasic_values()
+        self.dirv = np.where(at_ub, -1.0, 1.0)
+        self.dirv[self.lb == self.ub] = 0.0
+        self.dirv[self.basis] = 0.0
+        self.xnb = np.where(self.dirv < 0, self.ub, self.lb)
+        self.xnb[self.basis] = 0.0
         self.col_tol = _feasibility_tol(self.lb, self.ub)
         self.lb_b = self.lb[self.basis]
         self.ub_b = self.ub[self.basis]
@@ -335,15 +326,14 @@ class LpWorkspace:
         self.beta = self.b - self._mat_vec(self.xnb)
         self._basis_ready = True
 
-    def _refactor(self):
-        """Invert the basis afresh and recompute the basic values.
+    def _refactor(self) -> np.ndarray:
+        """Invert the basis afresh and return the reduced costs.
 
         The tableau is solved for whole, T = B^-1 [A | I], and its
         reduced costs follow from it; the product form gets a new base
-        from the basis's kernel and an empty tail.
+        from the basis's kernel and an empty tail.  The basic values are
+        recomputed from the resident nonbasic ones.
         """
-        if self.m == 0:
-            return
         if self.tableau:
             A = self.A_dense
             try:
@@ -354,8 +344,9 @@ class LpWorkspace:
         else:
             self.Bt = self._kernel_inverse()
             self.t = 0
-        v = self._nonbasic_values()
-        self.beta = self._ftran(self.b - self._mat_vec(v))
+        self.xnb[self.basis] = 0.0  # stale entries, out of the sum
+        self.beta = self._ftran(self.b - self._mat_vec(self.xnb))
+        return self._reduced_costs()
 
     def _kernel_inverse(self) -> np.ndarray:
         """B^-T through the basis's structural kernel.
@@ -492,14 +483,6 @@ class LpWorkspace:
             self.Bt += self.Wt.T @ self.Ut
             self.t = 0
 
-    def _leave(self, j: int, to_ub: bool) -> float:
-        """Make basic column j nonbasic at a bound; returns its direction."""
-        if self.lb[j] == self.ub[j]:
-            self.stat[j] = FIXED
-            return 0.0
-        self.stat[j] = AT_UB if to_ub else AT_LB
-        return -1.0 if to_ub else 1.0
-
     # -- dual simplex --------------------------------------------------------
 
     def _dual(self, cutoff: float | None = None) -> str:
@@ -529,8 +512,7 @@ class LpWorkspace:
                 # soon as a drift check (or a refactorization) confirms.
                 if self._solution_residual() <= _RESIDUAL_TOL:
                     return STATUS_CUTOFF
-                self._refactor()
-                d = self._reduced_costs()
+                d = self._refactor()
                 self.since_refactor = 0
                 if self.objective() > cutoff:
                     return STATUS_CUTOFF
@@ -546,8 +528,7 @@ class LpWorkspace:
                 # refactorization; fall back to one otherwise.
                 if self._solution_residual() <= _RESIDUAL_TOL:
                     return STATUS_OPTIMAL
-                self._refactor()
-                d = self._reduced_costs()
+                d = self._refactor()
                 confirmed = True
                 continue
             confirmed = False
@@ -573,8 +554,7 @@ class LpWorkspace:
                     return STATUS_INFEASIBLE
                 # Re-derive everything from a fresh factorization before
                 # trusting an infeasibility verdict.
-                self._refactor()
-                d = self._reduced_costs()
+                d = self._refactor()
                 still = np.maximum(lb_b - self.beta, self.beta - ub_b) / tol
                 if still[still.argmax()] <= 1.0:
                     return STATUS_OPTIMAL
@@ -600,12 +580,13 @@ class LpWorkspace:
             enter_val = xnb[q] + dv
             leaving = int(self.basis[r])
             self.beta -= dv * alpha
-            dirv[leaving] = self._leave(leaving, to_ub=above)
-            xnb[leaving] = (self.ub if dirv[leaving] < 0 else self.lb)[leaving]
+            # The leaving column rests at the bound it crossed.
+            lo, hi = self.lb[leaving], self.ub[leaving]
+            dirv[leaving] = 0.0 if lo == hi else -1.0 if above else 1.0
+            xnb[leaving] = hi if dirv[leaving] < 0 else lo
             self.basis[r] = q
             row_of[leaving] = -1
             row_of[q] = r
-            self.stat[q] = BASIC
             dirv[q] = 0.0
             lb_b[r] = self.lb[q]
             ub_b[r] = self.ub[q]
@@ -619,8 +600,7 @@ class LpWorkspace:
                 bland = True
             self._update_binv(alpha, rho, r)
             if self.since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                d = self._reduced_costs()
+                d = self._refactor()
                 self.since_refactor = 0
 
     # -- public entry points ---------------------------------------------
@@ -673,28 +653,24 @@ class LpWorkspace:
                 abs(lo) if lo > -np.inf else 0.0,
                 abs(hi) if hi < np.inf else 0.0,
             )
-            stat = self.stat[j]
-            if stat == BASIC:
-                r = self.row_of[j]
+            r = self.row_of[j]
+            if r >= 0:
                 self.lb_b[r] = lo
                 self.ub_b[r] = hi
                 self.tol_b[r] = self.col_tol[j]
                 continue
             old_val = float(self.xnb[j])
+            dirv = self.dirv[j]
             if lo == hi:
-                stat = FIXED
-            elif stat == FIXED:
+                dirv = 0.0
+            elif dirv == 0.0:  # a fixed column freed
                 if d is None:
                     d = self._reduced_costs()
-                want_ub = d[j] < 0 and np.isfinite(hi)
-                stat = AT_UB if want_ub else AT_LB
-            elif stat == AT_UB and not np.isfinite(hi):
-                stat = AT_LB
-            self.stat[j] = stat
-            self.dirv[j] = (
-                1.0 if stat == AT_LB else -1.0 if stat == AT_UB else 0.0
-            )
-            new_val = float(hi if stat == AT_UB else lo)
+                dirv = -1.0 if d[j] < 0 and np.isfinite(hi) else 1.0
+            elif dirv < 0 and not np.isfinite(hi):
+                dirv = 1.0
+            self.dirv[j] = dirv
+            new_val = float(hi if dirv < 0 else lo)
             self.xnb[j] = new_val
             if new_val != old_val:
                 delta_cols.append((j, new_val - old_val))

@@ -26,6 +26,11 @@ IFACE_WIFI = "wifi"
 IFACE_CORE = "core"
 IFACE_KINDS = (IFACE_DSRC, IFACE_WIFI, IFACE_CORE)
 
+# An assignment of at most this many MIPS is no assignment.
+PLACEMENT_THRESHOLD = 1e-9
+# Relative slack of a placement's conservation and capacity checks.
+PLACEMENT_REL_TOL = 1e-6
+
 
 class ScenarioError(ValueError):
     """A scenario is malformed or violates a structural invariant."""
@@ -224,7 +229,7 @@ class Placement:
     """A concrete answer: how much of each demand each node processes.
 
     ``x`` maps ``(demand_id, node_id)`` to assigned MIPS and only carries
-    entries above the extraction threshold. ``serving`` and ``active`` are
+    entries above ``PLACEMENT_THRESHOLD``. ``serving`` and ``active`` are
     derived views kept in scenario node order so reports and tests are
     reproducible.
     """
@@ -239,21 +244,18 @@ class Placement:
 
     @staticmethod
     def build(
-        scenario: Scenario,
-        x: Mapping[tuple[str, str], float],
-        *,
-        threshold: float = 1e-9,
+        scenario: Scenario, x: Mapping[tuple[str, str], float]
     ) -> "Placement":
         """Assemble a placement from raw assignment amounts.
 
-        Drops entries at or below ``threshold``, derives the serving sets
-        and the active set (sources, serving nodes, and every relay on a
-        used route), and verifies conservation and capacity.
+        Drops entries at or below ``PLACEMENT_THRESHOLD``, derives the
+        serving sets and the active set (sources, serving nodes, and every
+        relay on a used route), and verifies conservation and capacity.
         """
         order = scenario._node_order
         kept: dict[tuple[str, str], float] = {}
         for (d, n), amount in x.items():
-            if amount > threshold:
+            if amount > PLACEMENT_THRESHOLD:
                 kept[(d, n)] = float(amount)
 
         serving: dict[str, tuple[str, ...]] = {}
@@ -276,14 +278,14 @@ class Placement:
             raise PlacementError("; ".join(problems))
         return placement
 
-    def violations(self, scenario: Scenario, rel_tol: float = 1e-6) -> list[str]:
+    def violations(self, scenario: Scenario) -> list[str]:
         """Human-readable conservation and capacity violations, if any."""
         out: list[str] = []
         for demand in scenario.demands:
             total = sum(
                 v for (d, _), v in self.x.items() if d == demand.id
             )
-            if abs(total - demand.workload_mips) > rel_tol * max(
+            if abs(total - demand.workload_mips) > PLACEMENT_REL_TOL * max(
                 1.0, demand.workload_mips
             ):
                 out.append(
@@ -292,7 +294,7 @@ class Placement:
                 )
         for node in scenario.nodes:
             load = sum(v for (_, n), v in self.x.items() if n == node.id)
-            if load > node.capacity_mips * (1 + rel_tol):
+            if load > node.capacity_mips * (1 + PLACEMENT_REL_TOL):
                 out.append(
                     f"node {node.id}: load {load:g} exceeds capacity "
                     f"{node.capacity_mips:g} MIPS"

@@ -1,0 +1,63 @@
+"""Source hygiene: every name a package module imports is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import vecopt
+
+MODULES = sorted(
+    p for p in Path(vecopt.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that nothing else reads.
+
+    A name counts as read where it appears as a name, as the root of an
+    attribute, or inside a quoted annotation.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                used.update(
+                    n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)
+                )
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_the_scan_sees_an_unused_import():
+    source = (
+        "import math\nimport os.path\nfrom typing import Mapping, Sequence\n"
+        "x: 'Mapping[str, int]' = {}\nprint(os.path.sep, 'math')\n"
+    )
+    assert unused_imports(source) == ["line 1: math", "line 3: Sequence"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []

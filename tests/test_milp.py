@@ -17,7 +17,6 @@ from vecopt.milp import (
     build_milp,
     check_assignment,
     clean_assignment,
-    cleanup_arrays,
     extract_placement,
     interchange_classes,
     route_energy_per_bit,
@@ -247,16 +246,12 @@ def test_clean_assignment_matches_the_per_demand_loop():
     ]
     checked = 0
     for prob in problems:
-        arrays = cleanup_arrays(prob)
         for _ in range(40):
             noisy = noisy_relaxation(prob, rng)
             want = clean_by_demand(prob, noisy)
-            for got in (
-                clean_assignment(prob, noisy),
-                clean_assignment(prob, noisy, arrays),
-            ):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = clean_assignment(prob, noisy)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
             checked += 1
     assert checked == 40 * len(problems)
 

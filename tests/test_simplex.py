@@ -325,7 +325,7 @@ def test_warm_state_survives_cutoff_stops(monkeypatch):
     def counted():
         nonlocal refactors
         refactors += 1
-        refactor()
+        return refactor()
 
     monkeypatch.setattr(ws, "_refactor", counted)
     cutoffs, optimal = cutoff_dive(prob, ws, random.Random(4), per_step=3)
@@ -521,10 +521,31 @@ def test_refactor_matches_a_full_inverse():
 
 
 def assert_resident_state(ws: LpWorkspace):
-    """The dual's state kept in the workspace equals a rebuild from scratch."""
-    nonbasic = ws.stat != simplex.BASIC
-    assert np.array_equal(ws.dirv, ws._directions())
-    assert np.array_equal(ws.xnb[nonbasic], ws._nonbasic_values()[nonbasic])
+    """The dual's state kept in the workspace equals a rebuild from scratch.
+
+    A column's state is its basis row and its direction: 0 for a basic or
+    fixed column, +1 or -1 for a movable nonbasic one, whose value is
+    the bound it names.  The directions must keep the basis dual
+    feasible under the reduced costs rebuilt from B^-1.
+    """
+    row_of = np.full(ws.ncols, -1)
+    row_of[ws.basis] = np.arange(ws.m)
+    assert np.array_equal(ws.row_of, row_of)
+    nonbasic = row_of < 0
+    fixed = nonbasic & (ws.lb == ws.ub)
+    movable = nonbasic & ~fixed
+    assert np.all(ws.dirv[~movable] == 0.0)
+    assert np.all(np.isin(ws.dirv[movable], (-1.0, 1.0)))
+    at_lb, at_ub = nonbasic & (ws.dirv >= 0), ws.dirv < 0
+    assert np.array_equal(ws.xnb[at_lb], ws.lb[at_lb])
+    assert np.array_equal(ws.xnb[at_ub], ws.ub[at_ub])
+    assert np.isfinite(ws.xnb[nonbasic]).all()
+    A = np.zeros((ws.m, ws.ncols))
+    A[ws.A_rows, ws.A_cols] = ws.A_vals
+    T = np.linalg.solve(dense_basis(ws), A) if ws.m else A
+    d = ws.c - ws.c[ws.basis] @ T
+    d_tol = 1e-9 * max(1.0, np.abs(d).max())
+    assert np.all(ws.dirv[movable] * d[movable] >= -d_tol)
     finite_lb = np.where(np.isfinite(ws.lb), np.abs(ws.lb), 0.0)
     finite_ub = np.where(np.isfinite(ws.ub), np.abs(ws.ub), 0.0)
     col_tol = simplex._PRIMAL_TOL * np.maximum(
@@ -534,14 +555,9 @@ def assert_resident_state(ws: LpWorkspace):
     assert np.array_equal(ws.lb_b, ws.lb[ws.basis])
     assert np.array_equal(ws.ub_b, ws.ub[ws.basis])
     assert np.array_equal(ws.tol_b, col_tol[ws.basis])
-    row_of = np.full(ws.ncols, -1)
-    row_of[ws.basis] = np.arange(ws.m)
-    assert np.array_equal(ws.row_of, row_of)
     if ws.tableau and ws.m:
-        T = np.linalg.inv(dense_basis(ws)) @ ws.A_dense
         assert np.abs(ws.T - T).max() <= 1e-9 * max(1.0, np.abs(T).max())
-        d = ws.c - ws.c[ws.basis] @ T
-        assert np.abs(ws.d - d).max() <= 1e-9 * max(1.0, np.abs(d).max())
+        assert np.abs(ws.d - d).max() <= d_tol
 
 
 def next_branch(
@@ -596,13 +612,13 @@ def test_resident_state_matches_a_rebuild_after_every_step():
         branch: dict[int, tuple[float, float]] = {}
         for step in range(16):
             new = next_branch(rng, ws, branch, step)
-            fixed = ws.stat == simplex.FIXED
-            basic = ws.stat == simplex.BASIC
+            fixed = (ws.dirv == 0.0) & (ws.row_of < 0)
+            basic = ws.row_of >= 0
             moved = [j for j in set(new) | set(branch)
                      if new.get(j) != branch.get(j)]
             if ws.set_branch(new):
                 branch = new
-                seen["freed"] += int((fixed & (ws.stat != simplex.FIXED)).sum())
+                seen["freed"] += int((fixed & (ws.dirv != 0.0)).sum())
                 seen["basic_bounds"] += int(basic[moved].sum())
             else:
                 seen["conflict"] += 1
@@ -648,12 +664,12 @@ def test_tableau_agrees_with_the_product_form(monkeypatch):
         branch: dict[int, tuple[float, float]] = {}
         for step in range(16):
             new = next_branch(rng, tab, branch, step)
-            fixed = tab.stat == simplex.FIXED
+            fixed = (tab.dirv == 0.0) & (tab.row_of < 0)
             applied = tab.set_branch(new)
             assert prod.set_branch(new) == applied
             if applied:
                 branch = new
-                freed = fixed & (tab.stat != simplex.FIXED)
+                freed = fixed & (tab.dirv != 0.0)
                 seen["freed"] += int(freed.sum())
             else:
                 seen["conflict"] += 1
@@ -707,7 +723,7 @@ def test_infeasible_node_is_refactorized_once(monkeypatch, tableau):
     def counted():
         nonlocal calls
         calls += 1
-        refactor()
+        return refactor()
 
     monkeypatch.setattr(ws, "_refactor", counted)
     assert ws.solve_dual() == STATUS_INFEASIBLE

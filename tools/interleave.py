@@ -11,9 +11,11 @@ every instance, so a host whose speed wanders from minute to minute
 slows both alike.  Prints each side's seconds, node total, pivot total
 and the sum of its finite objectives, the number of instances whose
 status or objective differs between the sides (objectives by more than
-``OBJ_REL`` relative), and the ratio B/A of the seconds.  A change that
-moves pivot paths moves the last bits of the objectives, so the
-comparison comes with every timing.
+``OBJ_REL`` relative), the number that differ at all (status, the exact
+bits of the objective, nodes or pivots), and the ratio B/A of the
+seconds.  A change that moves pivot paths moves the last bits of the
+objectives, and a change meant to keep the output shows that it did, so
+the comparison comes with every timing.
 
 ``mini`` is the timed corpus of ``bench/workloads.py``: 1000 random
 scenarios from the seeds that ``random.Random(42)`` draws, solved with
@@ -77,6 +79,16 @@ def differs(a, b) -> bool:
     return abs(za - zb) > OBJ_REL * max(1.0, abs(za), abs(zb))
 
 
+def fingerprint(solution) -> tuple:
+    """What two bit-identical solves of one instance share."""
+    return (
+        solution.status,
+        float(solution.objective).hex(),
+        solution.stats.explored_nodes,
+        solution.stats.lp_iterations,
+    )
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("a", help="the first checkout (the base of the ratio)")
@@ -102,6 +114,7 @@ def main(argv=None) -> None:
         pivots = [0, 0]
         objective_sum = [0.0, 0.0]
         differing = 0
+        not_identical = 0
         first = 0
         for pass_no in range(args.passes):
             for i in range(len(work[0])):
@@ -119,6 +132,9 @@ def main(argv=None) -> None:
                         if math.isfinite(solutions[side].objective):
                             objective_sum[side] += solutions[side].objective
                     differing += differs(*solutions)
+                    not_identical += (
+                        fingerprint(solutions[0]) != fingerprint(solutions[1])
+                    )
 
     for label, path, side in (("A", args.a, 0), ("B", args.b, 1)):
         print(
@@ -127,6 +143,7 @@ def main(argv=None) -> None:
             f"objective sum {objective_sum[side]!r} W"
         )
     print(f"instances that differ: {differing} of {len(work[0])}")
+    print(f"instances not bit for bit identical: {not_identical}")
     print(f"B/A: {seconds[1] / seconds[0]:.3f}")
 
 
