@@ -5,7 +5,10 @@ warm-started dual simplex re-solves, a rounding heuristic that turns any
 node relaxation into a feasible placement, and an optional initial
 incumbent (the cloud-only baseline, in practice) so pruning starts
 immediately.  The root relaxation is the first node: it is solved once,
-and a node budget counts LP solves, the root's included.
+and a node budget counts LP solves, the root's included.  A node popped
+off the heap resumes from its parent's tableau when the workspace keeps
+one (``LpWorkspace.snapshot``), so a jump across the tree costs about
+the pivots of a plunge.
 """
 
 from __future__ import annotations
@@ -84,8 +87,11 @@ def branch_and_bound(
     budget of 1 returns the rounded root.  The search is best-bound with
     plunging: after a node branches, its up child is solved next, one
     bound away from the warm basis, and the down child waits on a
-    best-bound heap (ties newest-first).  The heap is popped only when
-    the plunge ends in a pruned, infeasible or integral node.  The
+    best-bound heap (ties newest-first) with a snapshot of its parent's
+    tableau, from which it resumes when popped; the product form keeps
+    none, and a pop re-solves from the basis in place.  The heap is
+    popped only when the plunge ends in a pruned, infeasible or integral
+    node; a popped node that its bound prunes restores nothing.  The
     branching variable maximizes fractionality weighted by objective
     coefficient, so expensive activations settle before cheap serving
     indicators, with lower indices winning ties.  Equal-objective
@@ -154,14 +160,16 @@ def branch_and_bound(
     if options.initial_assignment is not None:
         consider(np.asarray(options.initial_assignment, dtype=float))
 
-    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
+    # Open nodes: (parent bound, -counter, branch, the parent's workspace
+    # state or None).
+    heap: list[tuple[float, int, dict, tuple | None]] = []
     counter = 0
     # The node taken last (first the root) with its parent's bound, and
     # the next node of the plunge: the up child of a node that branches,
     # solved before anything on the heap.
     branch: dict[int, tuple[float, float]] = {}
     parent_bound = ws.objective()
-    plunge: tuple[float, dict] | None = None
+    plunge: tuple[float, dict, None] | None = None
     solved = True
     stop = STATUS_OPTIMAL  # or the budget that ran out
 
@@ -194,11 +202,11 @@ def branch_and_bound(
                         for b in blocks
                     ):
                         down[best_j - node + q] = (0.0, 0.0)
-                heapq.heappush(heap, (node_obj, -counter, down))
+                heapq.heappush(heap, (node_obj, -counter, down, ws.snapshot()))
                 counter += 1
                 up = dict(branch)
                 up[best_j] = (1.0, 1.0)
-                plunge = (node_obj, up)
+                plunge = (node_obj, up, None)  # from the basis in place
 
         if plunge is None and not heap:
             break
@@ -215,11 +223,17 @@ def branch_and_bound(
             stop = "time_limit"
             break
         if plunge is not None:
-            (parent_bound, branch), plunge = plunge, None
+            (parent_bound, branch, state), plunge = plunge, None
         else:
-            parent_bound, _, branch = heapq.heappop(heap)
+            parent_bound, _, branch, state = heapq.heappop(heap)
         solved = False
-        if parent_bound >= inc_obj - gap or not ws.set_branch(branch):
+        if parent_bound >= inc_obj - gap:
+            continue
+        if state is not None:
+            # Resume from the parent's optimal tableau, one branch entry
+            # (and its orbit) away, as a plunge does.
+            ws.restore(state)
+        if not ws.set_branch(branch):
             continue
         before = ws.iterations
         cutoff = None if inc_vec is None else inc_obj - gap

@@ -58,7 +58,22 @@ rows and up) on the product form.  ``set_branch`` never changes the
 basis, so the tableau carries d and its count of pivots since the last
 refactorization from one call to the next.  The product form
 recomputes d and restarts the count at every call, as carrying either
-would move its pivot paths by their roundoff.
+would move its pivot paths by their roundoff.  The tableau accepts an
+infeasibility verdict as it accepts an optimal one, without a
+refactorization, when the row that has no entering column equals
+rho [A | I] recomputed from A and the basic solution passes the residual
+check; the product form refactorizes before every such verdict.
+
+A tableau's node state is small (T is m (n + m) doubles, a few KB on
+the random models), so ``snapshot`` copies it and ``restore`` puts it
+back: T and d, the basis and its values, each column's direction,
+nonbasic value, bounds and tolerance, the pivots since the last
+refactorization and the branch in place.  Branch and bound snapshots a
+node when it branches, and a child popped off its heap resumes from its
+parent's optimal basis instead of from wherever the search left the
+basis.  The product form takes no snapshot: its B^-1 alone is m^2
+doubles (1.9 MB at 485 rows), and the 75 or so nodes a reference search
+keeps open would hold about 140 MB of them.
 
 Solves min c'x subject to row constraints and variable bounds.  Binary
 variables from the MILP arrive here already relaxed to their bounds.
@@ -83,6 +98,7 @@ _RESIDUAL_TOL = 1e-9  # scaled row residual that accepts a basis as drift-free
 _TIE_REL, _TIE_ABS = 1e-9, 1e-12  # ratios this close to the least one tie
 _STALL_STEP = 1e-10  # a primal step this small counts toward a stall
 _CONFLICT_TOL = 1e-12  # a branch with lo > hi + this empties a bound
+_CUTOFF_NEAR = 1e-7  # an estimate this close below the cutoff, relative
 _STALL_LIMIT = 50
 _REFACTOR_EVERY = 100
 _FOLD_EVERY = 32  # rank-1 terms the inverse's tail holds before a fold
@@ -485,6 +501,14 @@ class LpWorkspace:
 
     # -- dual simplex --------------------------------------------------------
 
+    def _row_is_exact(self, r: int) -> bool:
+        """Whether tableau row r equals rho [A | I], rho its B^-1 part."""
+        arow = self.T[r]
+        rho = arow[self.n_struct :]
+        size = float(np.abs(rho).max())
+        drift = np.abs(rho @ self.A_dense - arow).max()
+        return bool(drift <= _RESIDUAL_TOL * max(1.0, size))
+
     def _dual(self, cutoff: float | None = None) -> str:
         m = self.m
         if m == 0:
@@ -502,20 +526,30 @@ class LpWorkspace:
         dirv, xnb, col_tol = self.dirv, self.xnb, self.col_tol
         lb_b, ub_b, tol = self.lb_b, self.ub_b, self.tol_b
         row_of = self.row_of
+        # A running estimate of the objective, which each pivot raises by
+        # |d_q dv| and which is unknown (inf) after a refactorization.  It
+        # only gates the exact test: the cutoff compares the full
+        # objective, whose last bits a running sum would move, once the
+        # estimate comes near.  A cutoff the estimate misses costs pivots.
+        est = np.inf
+        if cutoff is not None:
+            near = cutoff - _CUTOFF_NEAR * max(1.0, abs(cutoff))
 
         while True:
-            # The full objective, not a running sum, which would move the
-            # last bits that the cutoff test compares.
-            if cutoff is not None and self.objective() > cutoff:
-                # The running objective is a dual bound; past the cutoff
-                # the caller will discard this node, so stop pivoting as
-                # soon as a drift check (or a refactorization) confirms.
-                if self._solution_residual() <= _RESIDUAL_TOL:
-                    return STATUS_CUTOFF
-                d = self._refactor()
-                self.since_refactor = 0
-                if self.objective() > cutoff:
-                    return STATUS_CUTOFF
+            if cutoff is not None and est > near:
+                est = self.objective()
+                if est > cutoff:
+                    # The objective is a dual bound; past the cutoff the
+                    # caller will discard this node, so stop pivoting as
+                    # soon as a drift check (or a refactorization)
+                    # confirms.
+                    if self._solution_residual() <= _RESIDUAL_TOL:
+                        return STATUS_CUTOFF
+                    d = self._refactor()
+                    self.since_refactor = 0
+                    est = self.objective()
+                    if est > cutoff:
+                        return STATUS_CUTOFF
             viol_lo = lb_b - self.beta
             viol_hi = self.beta - ub_b
             viol = np.maximum(viol_lo, viol_hi)
@@ -528,7 +562,7 @@ class LpWorkspace:
                 # refactorization; fall back to one otherwise.
                 if self._solution_residual() <= _RESIDUAL_TOL:
                     return STATUS_OPTIMAL
-                d = self._refactor()
+                d, est = self._refactor(), np.inf
                 confirmed = True
                 continue
             confirmed = False
@@ -552,9 +586,16 @@ class LpWorkspace:
                     # Nothing pivoted since the refactorization below, so
                     # another would rebuild the same state.
                     return STATUS_INFEASIBLE
-                # Re-derive everything from a fresh factorization before
-                # trusting an infeasibility verdict.
-                d = self._refactor()
+                # Trust the verdict of a drift-free tableau row and basic
+                # solution, as an optimal one is trusted; re-derive
+                # everything from a fresh factorization otherwise.
+                if (
+                    self.tableau
+                    and self._row_is_exact(r)
+                    and self._solution_residual() <= _RESIDUAL_TOL
+                ):
+                    return STATUS_INFEASIBLE
+                d, est = self._refactor(), np.inf
                 still = np.maximum(lb_b - self.beta, self.beta - ub_b) / tol
                 if still[still.argmax()] <= 1.0:
                     return STATUS_OPTIMAL
@@ -593,6 +634,7 @@ class LpWorkspace:
             tol[r] = col_tol[q]
             self.beta[r] = enter_val
             theta = d[q] / arow[q]
+            est += abs(theta * delta)
             d -= theta * arow
             d[q] = 0.0
             stall = stall + 1 if abs(delta) <= _STALL_STEP else 0
@@ -600,7 +642,7 @@ class LpWorkspace:
                 bland = True
             self._update_binv(alpha, rho, r)
             if self.since_refactor >= _REFACTOR_EVERY:
-                d = self._refactor()
+                d, est = self._refactor(), np.inf
                 self.since_refactor = 0
 
     # -- public entry points ---------------------------------------------
@@ -681,6 +723,35 @@ class LpWorkspace:
                 np.add.at(shift, ridx, vals * dv)
             self.beta -= self._ftran(shift)
         return True
+
+    # A tableau's node state (module docstring), with ``since_refactor``
+    # and the branch in place; the basis rows and the bounds and
+    # tolerances of the basic positions follow from it.
+    _NODE_ARRAYS = (
+        "T", "d", "beta", "basis", "dirv", "xnb", "lb", "ub", "col_tol"
+    )
+
+    def snapshot(self) -> tuple | None:
+        """A copy of a solved tableau's node state, for ``restore``; None
+        in the product form (module docstring)."""
+        if not self.tableau:
+            return None
+        arrays = [getattr(self, name).copy() for name in self._NODE_ARRAYS]
+        # The branch is replaced by set_branch, never changed in place.
+        return arrays, self.since_refactor, self._branch
+
+    def restore(self, state: tuple):
+        """Return to a snapshot's state, whose arrays the workspace takes
+        over: a snapshot restores once."""
+        arrays, self.since_refactor, self._branch = state
+        for name, array in zip(self._NODE_ARRAYS, arrays):
+            setattr(self, name, array)
+        self._conflict = False
+        self.row_of = np.full(self.ncols, -1, dtype=np.intp)
+        self.row_of[self.basis] = np.arange(self.m)
+        self.lb_b = self.lb[self.basis]
+        self.ub_b = self.ub[self.basis]
+        self.tol_b = self.col_tol[self.basis]
 
     def solve_dual(self, cutoff: float | None = None) -> str:
         """Restore feasibility after bound changes via dual pivots.

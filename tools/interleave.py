@@ -1,4 +1,4 @@
-"""Time two checkouts of vecopt against each other in one process.
+"""Time two checkouts of vecopt against each other, instance by instance.
 
     python3 tools/interleave.py A B --workload mini|grid [--passes N]
 
@@ -11,11 +11,17 @@ every instance, so a host whose speed wanders from minute to minute
 slows both alike.  Prints each side's seconds, node total, pivot total
 and the sum of its finite objectives, the number of instances whose
 status or objective differs between the sides (objectives by more than
-``OBJ_REL`` relative), the number that differ at all (status, the exact
-bits of the objective, nodes or pivots), and the ratio B/A of the
-seconds.  A change that moves pivot paths moves the last bits of the
-objectives, and a change meant to keep the output shows that it did, so
-the comparison comes with every timing.
+``OBJ_REL`` relative), and the number that differ at all (status, the
+exact bits of the objective, nodes or pivots).  A change that moves
+pivot paths moves the last bits of the objectives, and a change meant to
+keep the output shows that it did, so the comparison comes with every
+timing.
+
+The comparison runs twice, each time in a fresh interpreter: once with
+A loaded and built first, once with B.  The side loaded second has read
+up to 8% slow on two copies of one checkout, so the tool prints the
+ratio B/A of the seconds in each order and their geometric mean, which
+is the number to report; a side's seconds are its sum over both runs.
 
 ``mini`` is the timed corpus of ``bench/workloads.py``: 1000 random
 scenarios from the seeds that ``random.Random(42)`` draws, solved with
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import multiprocessing
 import random
 import shutil
 import sys
@@ -89,26 +96,18 @@ def fingerprint(solution) -> tuple:
     )
 
 
-def main(argv=None) -> None:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("a", help="the first checkout (the base of the ratio)")
-    p.add_argument("b", help="the second checkout")
-    p.add_argument("--workload", choices=("mini", "grid"), required=True)
-    p.add_argument("--passes", type=int, default=1)
-    args = p.parse_args(argv)
-    if args.passes < 1:
-        p.error("--passes must be at least 1")
-
+def compare(a: str, b: str, workload: str, passes: int) -> dict:
+    """Time checkouts a and b, a loaded and built first (side 0)."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
             sides = [
-                load(args.a, "vecopt_a", Path(tmp)),
-                load(args.b, "vecopt_b", Path(tmp)),
+                load(a, "vecopt_a", Path(tmp)),
+                load(b, "vecopt_b", Path(tmp)),
             ]
         finally:
             sys.path.remove(tmp)
-        work = [jobs(pkg, args.workload) for pkg in sides]
+        work = [jobs(pkg, workload) for pkg in sides]
         seconds = [0.0, 0.0]
         nodes = [0, 0]
         pivots = [0, 0]
@@ -116,7 +115,7 @@ def main(argv=None) -> None:
         differing = 0
         not_identical = 0
         first = 0
-        for pass_no in range(args.passes):
+        for pass_no in range(passes):
             for i in range(len(work[0])):
                 solutions = [None, None]
                 for side in (first, 1 - first):
@@ -135,17 +134,61 @@ def main(argv=None) -> None:
                     not_identical += (
                         fingerprint(solutions[0]) != fingerprint(solutions[1])
                     )
+    return dict(
+        seconds=seconds,
+        nodes=nodes,
+        pivots=pivots,
+        objective_sum=objective_sum,
+        differing=differing,
+        not_identical=not_identical,
+        instances=len(work[0]),
+    )
 
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("a", help="the first checkout (the base of the ratio)")
+    p.add_argument("b", help="the second checkout")
+    p.add_argument("--workload", choices=("mini", "grid"), required=True)
+    p.add_argument("--passes", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.passes < 1:
+        p.error("--passes must be at least 1")
+
+    # Each side order in a fresh interpreter, one after the other.
+    ctx = multiprocessing.get_context("spawn")
+    runs = []
+    for order in ((args.a, args.b), (args.b, args.a)):
+        with ctx.Pool(1) as pool:
+            runs.append(
+                pool.apply(compare, (*order, args.workload, args.passes))
+            )
+    # Seconds of (A, B) in each order: A is side 0 when it loads first.
+    # Counts and objectives repeat across orders, so the first run's print.
+    first, swapped = runs
+    timed = [
+        (first["seconds"][0], first["seconds"][1]),
+        (swapped["seconds"][1], swapped["seconds"][0]),
+    ]
     for label, path, side in (("A", args.a, 0), ("B", args.b, 1)):
         print(
-            f"{label} {path}: {seconds[side]:.3f} s, "
-            f"{nodes[side]} nodes, {pivots[side]} pivots, "
-            f"objective sum {objective_sum[side]!r} W"
+            f"{label} {path}: {sum(t[side] for t in timed):.3f} s, "
+            f"{first['nodes'][side]} nodes, {first['pivots'][side]} pivots, "
+            f"objective sum {first['objective_sum'][side]!r} W"
         )
-    print(f"instances that differ: {differing} of {len(work[0])}")
-    print(f"instances not bit for bit identical: {not_identical}")
-    print(f"B/A: {seconds[1] / seconds[0]:.3f}")
-
+    print(
+        f"instances that differ: {first['differing']} "
+        f"of {first['instances']}"
+    )
+    print(f"instances not bit for bit identical: {first['not_identical']}")
+    ratios = [b / a for a, b in timed]
+    for label, (a, b), ratio in zip("AB", timed, ratios):
+        print(
+            f"B/A with {label} loaded first: {ratio:.3f} "
+            f"(A {a:.3f} s, B {b:.3f} s)"
+        )
+    mean = math.sqrt(ratios[0] * ratios[1])
+    print(f"B/A, geometric mean of both orders: {mean:.3f}")
 
 if __name__ == "__main__":
     main()
