@@ -9,6 +9,16 @@ and a node budget counts LP solves, the root's included.  A node popped
 off the heap resumes from its parent's tableau when the workspace keeps
 one (``LpWorkspace.snapshot``), so a jump across the tree costs about
 the pivots of a plunge.
+
+The rule that picks the branching variable follows the form of the
+workspace's inverse.  A tableau keeps B^-1 A resident, so each fractional
+binary's one-pivot penalties (Driebeek, 1966) cost one gather of its row:
+the search branches on the largest product of the two (Achterberg, 2007)
+and keys each child by its parent's bound plus its penalty, so a child
+that cannot beat the incumbent is never solved and the plunge goes on
+with the child of the lower bound.  The product form would pay a BTRAN
+and a row of A'rho per candidate, and keeps the cost-weighted
+fractionality and its parent's bound for both children.
 """
 
 from __future__ import annotations
@@ -41,6 +51,12 @@ STATUS_TIMEOUT = "timeout"
 
 # Incumbent objectives this close (watts) tie; the binary pattern decides.
 _TIE_W = 1e-9
+# A penalty below this counts as this in the branching score (Achterberg,
+# 2007), so a zero penalty on one side does not hide the other.
+_SCORE_EPS = 1e-6
+# A child's bound is its parent's plus its penalty less this share of
+# max(1, |parent bound|), which covers the roundoff of both.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -83,19 +99,33 @@ def branch_and_bound(
     """Exact minimization of the placement MILP.
 
     The root relaxation is the first node and each later node is one
-    warm dual re-solve; ``node_limit`` counts these LP solves, so a
-    budget of 1 returns the rounded root.  The search is best-bound with
-    plunging: after a node branches, its up child is solved next, one
-    bound away from the warm basis, and the down child waits on a
+    warm dual re-solve; ``stats.explored_nodes`` counts these LP solves,
+    and so does ``node_limit``, so a budget of 1 returns the rounded
+    root.  A child dropped by its bound before its solve is not counted.
+
+    The search is best-bound with plunging: after a node branches, the
+    child with the lower bound (the up child on a tie) is solved next,
+    one bound away from the warm basis, and the other waits on a
     best-bound heap (ties newest-first) with a snapshot of its parent's
     tableau, from which it resumes when popped; the product form keeps
     none, and a pop re-solves from the basis in place.  The heap is
-    popped only when the plunge ends in a pruned, infeasible or integral
-    node; a popped node that its bound prunes restores nothing.  The
-    branching variable maximizes fractionality weighted by objective
-    coefficient, so expensive activations settle before cheap serving
-    indicators, with lower indices winning ties.  Equal-objective
-    incumbents keep the lexicographically smallest binary pattern.
+    popped when the plunge ends in a pruned, infeasible or integral
+    node, or when both children are dropped; a popped node that its
+    bound prunes restores nothing.
+
+    The branching variable depends on the form of the inverse.  In a
+    tableau workspace it maximizes max(p-, eps) * max(p+, eps) over the
+    fractional binaries, p- and p+ their down and up penalties
+    (``LpWorkspace.penalties``); ties go to the product form's rule and
+    then to the lower index.  Each child's key, on the heap or as the
+    plunge's bound, is its parent's bound plus its penalty less a
+    roundoff margin, and a child whose key cannot beat the incumbent, or
+    whose penalty proves it infeasible, is dropped before any snapshot
+    or solve.  The product form maximizes fractionality weighted by
+    objective coefficient, so expensive activations settle before cheap
+    serving indicators, with lower indices winning ties, and both of its
+    children keep their parent's bound.  Equal-objective incumbents keep
+    the lexicographically smallest binary pattern.
 
     Branching is orbital: when the chosen variable belongs to a node that
     is interchangeable with others whose branching state is identical, the
@@ -160,15 +190,15 @@ def branch_and_bound(
     if options.initial_assignment is not None:
         consider(np.asarray(options.initial_assignment, dtype=float))
 
-    # Open nodes: (parent bound, -counter, branch, the parent's workspace
-    # state or None).
+    # Open nodes: (bound, -counter, branch, the parent's workspace state
+    # or None); a child's bound is its parent's plus its penalty.
     heap: list[tuple[float, int, dict, tuple | None]] = []
     counter = 0
-    # The node taken last (first the root) with its parent's bound, and
-    # the next node of the plunge: the up child of a node that branches,
-    # solved before anything on the heap.
+    # The node taken last (first the root) with its bound, and the next
+    # node of the plunge: a child of the node that branched last, solved
+    # before anything on the heap.
     branch: dict[int, tuple[float, float]] = {}
-    parent_bound = ws.objective()
+    bound = ws.objective()
     plunge: tuple[float, dict, None] | None = None
     solved = True
     stop = STATUS_OPTIMAL  # or the budget that ran out
@@ -186,14 +216,31 @@ def branch_and_bound(
             frac = np.abs(bin_vals - np.round(bin_vals)) > FEAS_TOL
             # The heuristic may have closed this node.
             if frac.any() and node_obj < inc_obj - gap:
-                # Weight fractionality by the variable's objective
-                # coefficient so expensive activations (cloud idle dwarfs
-                # any transfer term) are resolved before penny-scale
-                # serving indicators; the lowest index wins a tie.
+                # The largest product of the one-pivot penalties wins.
+                # Fractionality weighted by the variable's objective
+                # coefficient breaks ties, so expensive activations (cloud
+                # idle dwarfs any transfer term) are resolved before
+                # penny-scale serving indicators, then the lowest index.
+                # The product form offers no penalties: all of its
+                # candidates tie, and its children keep the node's bound.
                 cand = binaries[frac]
+                if ws.tableau:
+                    p_down, p_up = ws.penalties(cand)
+                else:
+                    p_down = p_up = np.zeros(cand.size)
+                product = np.maximum(p_down, _SCORE_EPS) * np.maximum(
+                    p_up, _SCORE_EPS
+                )
                 score = 0.5 - np.abs(vals[cand] - 0.5)
                 score *= np.maximum(cvec[cand], 1.0)
-                best_j = int(cand[np.argmax(score)])
+                score[product < product.max()] = -np.inf
+                k = int(np.argmax(score))
+                margin = _BOUND_MARGIN * max(1.0, abs(node_obj))
+                down_bound = node_obj + max(float(p_down[k]) - margin, 0.0)
+                up_bound = node_obj + max(float(p_up[k]) - margin, 0.0)
+                best_j = int(cand[k])
+                up = dict(branch)
+                up[best_j] = (1.0, 1.0)
                 node = (best_j - DN) % N
                 down = dict(branch)
                 for q in class_of.get(node, [node]):
@@ -202,11 +249,21 @@ def branch_and_bound(
                         for b in blocks
                     ):
                         down[best_j - node + q] = (0.0, 0.0)
-                heapq.heappush(heap, (node_obj, -counter, down, ws.snapshot()))
-                counter += 1
-                up = dict(branch)
-                up[best_j] = (1.0, 1.0)
-                plunge = (node_obj, up, None)  # from the basis in place
+                # The child with the lower bound, the up child on a tie, is
+                # the plunge, from the basis in place; the other waits on
+                # the heap with a snapshot of this node.  A child that
+                # cannot beat the incumbent is dropped.
+                (first_bound, _, first), (second_bound, _, second) = sorted(
+                    [(up_bound, 0, up), (down_bound, 1, down)]
+                )
+                if first_bound < inc_obj - gap:
+                    plunge = (first_bound, first, None)
+                    if second_bound < inc_obj - gap:
+                        state = ws.snapshot()
+                        heapq.heappush(
+                            heap, (second_bound, -counter, second, state)
+                        )
+                        counter += 1
 
         if plunge is None and not heap:
             break
@@ -223,11 +280,11 @@ def branch_and_bound(
             stop = "time_limit"
             break
         if plunge is not None:
-            (parent_bound, branch, state), plunge = plunge, None
+            (bound, branch, state), plunge = plunge, None
         else:
-            parent_bound, _, branch, state = heapq.heappop(heap)
+            bound, _, branch, state = heapq.heappop(heap)
         solved = False
-        if parent_bound >= inc_obj - gap:
+        if bound >= inc_obj - gap:
             continue
         if state is not None:
             # Resume from the parent's optimal tableau, one branch entry
@@ -245,7 +302,7 @@ def branch_and_bound(
     if stop != STATUS_OPTIMAL:
         status = STATUS_TIMEOUT
         # No node left open can beat the least bound among them.
-        bounds = [parent_bound, inc_obj] + [entry[0] for entry in heap]
+        bounds = [bound, inc_obj] + [entry[0] for entry in heap]
         if plunge is not None:
             bounds.append(plunge[0])
         stats.gap = inc_obj - min(bounds)

@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import linprog
 
 from vecopt import simplex
-from vecopt.milp import MilpProblem, RowDef, VarDef, build_milp
+from vecopt.bnb import _BOUND_MARGIN
+from vecopt.milp import FEAS_TOL, MilpProblem, RowDef, VarDef, build_milp
 from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario
 from vecopt.simplex import (
@@ -678,6 +679,59 @@ def test_restored_state_matches_a_rebuild():
             if step % 4 == 1:
                 saved = (ws.snapshot(), branch, ws.objective())
     assert min(seen.values()) >= 3, seen
+
+
+def test_penalties_bound_each_child():
+    """A child's optimum is at least its parent's plus its penalty.
+
+    Random walks over branches on seeded random models, as above.  At
+    every optimal node, each fractional binary's down child (upper bound
+    0) and up child (lower bound 1) is solved cold: its optimum must
+    reach the node's objective plus the child's penalty, less branch and
+    bound's margin, and a child whose penalty is inf must be infeasible.
+    Once the tableau's rows drift, no penalty may be inf.
+    """
+    rng = random.Random(1966)
+    seen = dict(zero=0, lifted=0, infeasible=0, drifted=0)
+    for _ in range(12):
+        prob = build_milp(random_scenario(rng.randrange(2**31)))
+        binaries = prob.binary_indices()
+        ws = LpWorkspace(prob)
+        status = ws.solve_primal()
+        branch: dict[int, tuple[float, float]] = {}
+        for step in range(12):
+            if status == STATUS_OPTIMAL:
+                z = ws.objective()
+                margin = _BOUND_MARGIN * max(1.0, abs(z))
+                vals = ws.values_extended()[binaries]
+                frac = binaries[np.abs(vals - np.round(vals)) > FEAS_TOL]
+                down, up = ws.penalties(frac) if frac.size else ((), ())
+                assert ws.objective() == z
+                if np.isinf(down).any() or np.isinf(up).any():
+                    # A drifted row proves nothing: its child keeps the
+                    # node's bound.
+                    T = ws.T.copy()
+                    ws.T[:, : ws.n_struct] *= 1.0 + 1e-6
+                    assert np.isfinite(ws.penalties(frac)).all()
+                    ws.T = T
+                    seen["drifted"] += 1
+                for j, p_down, p_up in zip(frac, down, up):
+                    children = (((0.0, 0.0), p_down), ((1.0, 1.0), p_up))
+                    for bounds, lift in children:
+                        assert lift >= 0.0
+                        cold = LpWorkspace(prob, {**branch, int(j): bounds})
+                        verdict = cold.solve_primal()
+                        if np.isinf(lift):
+                            assert verdict == STATUS_INFEASIBLE
+                            seen["infeasible"] += 1
+                        elif verdict == STATUS_OPTIMAL:
+                            assert z + lift - margin <= cold.objective()
+                            seen["lifted" if lift > margin else "zero"] += 1
+            new = next_branch(rng, ws, branch, step)
+            if ws.set_branch(new):
+                branch = new
+            status = ws.solve_dual()
+    assert min(seen.values()) >= 10, seen
 
 
 def product_form(monkeypatch):

@@ -292,10 +292,11 @@ def highs_milp(problem) -> tuple[str, float]:
 def test_resumed_search_matches_highs(monkeypatch):
     """Heap pops that resume from their parent's tableau keep the optimum.
 
-    Seeded random scenarios, with three heavy ones from the benchmark's
-    mini corpus (its instances 207, 400 and 545, each 400-650 nodes):
-    status and objective must match HiGHS within 1e-6, and the searches
-    must have resumed popped nodes from a snapshot.
+    Seeded random scenarios, with nine heavy ones from the benchmark's
+    mini corpus (its instances 43, 111, 207, 240, 400, 480, 545, 718 and
+    948, which pop the most nodes): status and objective must match
+    HiGHS within 1e-6, and the searches must have resumed popped nodes
+    from a snapshot.
     """
     restores = 0
     restore = LpWorkspace.restore
@@ -307,7 +308,8 @@ def test_resumed_search_matches_highs(monkeypatch):
 
     monkeypatch.setattr(LpWorkspace, "restore", counted)
     rng = np.random.default_rng(1903)
-    seeds = [2067418686, 364194056, 437662764]
+    seeds = [2067418686, 364194056, 437662764, 298737106, 1948728483]
+    seeds += [171200764, 530809576, 2096929657, 170689150]
     seeds += [int(s) for s in rng.integers(0, 2**31, size=12)]
     statuses = set()
     for seed in seeds:
@@ -320,3 +322,24 @@ def test_resumed_search_matches_highs(monkeypatch):
             assert sol.objective == pytest.approx(objective, abs=1e-6), seed
     assert statuses == {"optimal", "infeasible"}
     assert restores >= 300
+
+
+def test_penalty_keys_bound_the_open_tree():
+    """Every budget stop's gap still covers the optimum.
+
+    Children wait under their parent's bound plus their penalty, so the
+    least key left open bounds the optimum.  The mini corpus's instance
+    172 takes 62 nodes; under each smaller budget, the incumbent less the
+    reported gap must not exceed HiGHS's optimum.
+    """
+    s = random_scenario(1748309234)
+    status, optimum = highs_milp(build_milp(s))
+    assert status == "optimal"
+    nodes = solve_scenario(s).stats.explored_nodes
+    assert nodes >= 50
+    for limit in range(1, nodes):
+        sol = solve_scenario(s, node_limit=limit)
+        assert sol.status == "timeout", limit
+        bound = sol.objective - sol.stats.gap
+        assert bound <= optimum + 1e-9 * max(1.0, abs(optimum)), limit
+        assert optimum <= sol.objective + 1e-6, limit
