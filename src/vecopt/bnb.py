@@ -6,19 +6,18 @@ node relaxation into a feasible placement, and an optional initial
 incumbent (the cloud-only baseline, in practice) so pruning starts
 immediately.  The root relaxation is the first node: it is solved once,
 and a node budget counts LP solves, the root's included.  A node popped
-off the heap resumes from its parent's tableau when the workspace keeps
-one (``LpWorkspace.snapshot``), so a jump across the tree costs about
-the pivots of a plunge.
+off the heap resumes from the workspace's snapshot of its parent
+(``LpWorkspace.snapshot``), so a jump across the tree costs about the
+pivots of a plunge.
 
-The rule that picks the branching variable follows the form of the
-workspace's inverse.  A tableau keeps B^-1 A resident, so each fractional
-binary's one-pivot penalties (Driebeek, 1966) cost one gather of its row:
-the search branches on the largest product of the two (Achterberg, 2007)
-and keys each child by its parent's bound plus its penalty, so a child
-that cannot beat the incumbent is never solved and the plunge goes on
-with the child of the lower bound.  The product form would pay a BTRAN
-and a row of A'rho per candidate, and keeps the cost-weighted
-fractionality and its parent's bound for both children.
+One rule picks the branching variable: the largest product of its two
+one-pivot penalties (Driebeek, 1966; Achterberg, 2007), which
+``LpWorkspace.penalties`` gives and which are zero where the workspace
+gives none.  Each child is keyed by its parent's bound plus its
+penalty, so a child that cannot beat the incumbent is never solved and
+the plunge goes on with the child of the lower bound.  With zero
+penalties every candidate ties, the cost-weighted fractionality decides,
+and both children keep their parent's bound.
 """
 
 from __future__ import annotations
@@ -106,26 +105,26 @@ def branch_and_bound(
     The search is best-bound with plunging: after a node branches, the
     child with the lower bound (the up child on a tie) is solved next,
     one bound away from the warm basis, and the other waits on a
-    best-bound heap (ties newest-first) with a snapshot of its parent's
-    tableau, from which it resumes when popped; the product form keeps
-    none, and a pop re-solves from the basis in place.  The heap is
-    popped when the plunge ends in a pruned, infeasible or integral
-    node, or when both children are dropped; a popped node that its
-    bound prunes restores nothing.
+    best-bound heap (ties newest-first) with the workspace's snapshot of
+    its parent, which it restores when popped; a snapshot of None
+    restores nothing, and the pop re-solves from the basis in place.
+    The heap is popped when the plunge ends in a pruned, infeasible or
+    integral node, or when both children are dropped; a popped node that
+    its bound prunes restores nothing.
 
-    The branching variable depends on the form of the inverse.  In a
-    tableau workspace it maximizes max(p-, eps) * max(p+, eps) over the
+    The branching variable maximizes max(p-, eps) * max(p+, eps) over the
     fractional binaries, p- and p+ their down and up penalties
-    (``LpWorkspace.penalties``); ties go to the product form's rule and
-    then to the lower index.  Each child's key, on the heap or as the
-    plunge's bound, is its parent's bound plus its penalty less a
-    roundoff margin, and a child whose key cannot beat the incumbent, or
-    whose penalty proves it infeasible, is dropped before any snapshot
-    or solve.  The product form maximizes fractionality weighted by
-    objective coefficient, so expensive activations settle before cheap
-    serving indicators, with lower indices winning ties, and both of its
-    children keep their parent's bound.  Equal-objective incumbents keep
-    the lexicographically smallest binary pattern.
+    (``LpWorkspace.penalties``, zero where the workspace gives none).
+    Ties go to the larger fractionality weighted by objective
+    coefficient, so expensive activations settle before cheap serving
+    indicators, and then to the lower index.  Each child's key, on the
+    heap or as the plunge's bound, is its parent's bound plus its
+    penalty less a roundoff margin, and a child whose key cannot beat
+    the incumbent, or whose penalty proves it infeasible, is dropped
+    before any snapshot or solve.  Equal-objective incumbents keep the
+    lexicographically smallest binary pattern.  A budget stop's
+    ``stats.gap`` is the incumbent minus the least key of the open
+    nodes, 0 when none is below the incumbent.
 
     Branching is orbital: when the chosen variable belongs to a node that
     is interchangeable with others whose branching state is identical, the
@@ -194,11 +193,10 @@ def branch_and_bound(
     # or None); a child's bound is its parent's plus its penalty.
     heap: list[tuple[float, int, dict, tuple | None]] = []
     counter = 0
-    # The node taken last (first the root) with its bound, and the next
+    # The branch of the node taken last (first the root), and the next
     # node of the plunge: a child of the node that branched last, solved
     # before anything on the heap.
     branch: dict[int, tuple[float, float]] = {}
-    bound = ws.objective()
     plunge: tuple[float, dict, None] | None = None
     solved = True
     stop = STATUS_OPTIMAL  # or the budget that ran out
@@ -221,13 +219,10 @@ def branch_and_bound(
                 # coefficient breaks ties, so expensive activations (cloud
                 # idle dwarfs any transfer term) are resolved before
                 # penny-scale serving indicators, then the lowest index.
-                # The product form offers no penalties: all of its
+                # Where the workspace gives zero penalties, all of its
                 # candidates tie, and its children keep the node's bound.
                 cand = binaries[frac]
-                if ws.tableau:
-                    p_down, p_up = ws.penalties(cand)
-                else:
-                    p_down = p_up = np.zeros(cand.size)
+                p_down, p_up = ws.penalties(cand)
                 product = np.maximum(p_down, _SCORE_EPS) * np.maximum(
                     p_up, _SCORE_EPS
                 )
@@ -286,10 +281,10 @@ def branch_and_bound(
         solved = False
         if bound >= inc_obj - gap:
             continue
-        if state is not None:
-            # Resume from the parent's optimal tableau, one branch entry
-            # (and its orbit) away, as a plunge does.
-            ws.restore(state)
+        # Resume from the parent's optimal basis, one branch entry (and
+        # its orbit) away, as a plunge does; without a snapshot, from the
+        # basis in place.
+        ws.restore(state)
         if not ws.set_branch(branch):
             continue
         before = ws.iterations
@@ -301,8 +296,9 @@ def branch_and_bound(
     status = STATUS_OPTIMAL
     if stop != STATUS_OPTIMAL:
         status = STATUS_TIMEOUT
-        # No node left open can beat the least bound among them.
-        bounds = [bound, inc_obj] + [entry[0] for entry in heap]
+        # No node left open can beat the least bound among them.  The
+        # node taken last is closed or has branched into them.
+        bounds = [inc_obj] + [entry[0] for entry in heap]
         if plunge is not None:
             bounds.append(plunge[0])
         stats.gap = inc_obj - min(bounds)

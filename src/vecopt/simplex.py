@@ -29,6 +29,16 @@ structural columns meet the remaining rows.  LAPACK inverts the kernel
 (about half of m on the placement models); one product with the kernel's
 inverse gives the slack rows of B^-1, and the rest is identity or zero.
 
+The dual ends in a verdict: optimal, infeasible (a leaving row with no
+entering column) or cutoff (the objective, a dual bound, past the
+caller's cutoff).  A verdict stands when nothing has pivoted since the
+last refactorization, or when the basis is trusted: the basic solution
+passes the residual check and, for an infeasibility verdict, the row
+without an entering column equals rho [A | I] recomputed from A, which
+only a tableau (below) can check.  Otherwise the dual refactorizes and
+derives the verdict again.  A refactorization, whatever its cause,
+restarts the count of pivots that ``_REFACTOR_EVERY`` caps.
+
 The workspace keeps the dual's per-node state between calls.  A
 column's state is its direction and its basis row: ``dirv`` is +1 for a
 nonbasic column at its lower bound, -1 at its upper bound and 0 for a
@@ -39,8 +49,8 @@ basic position.  ``_start_basis`` builds that state, each pivot updates
 the entries it changes, and ``set_branch`` updates the columns whose
 bounds it moves, so a warm re-solve pays for its pivots and not for
 rebuilding that state.  What each call still recomputes is the residual
-check that accepts a basis without a refactorization and, in the
-product form, the reduced costs, from a BTRAN of the basic costs.
+check that trusts a verdict and, in the product form, the reduced
+costs, from a BTRAN of the basic costs.
 
 Models of at most ``_TABLEAU_ROWS`` rows hold the inverse in a second
 form: the dense tableau T = B^-1 [A | I], m x (n + m), whose last m
@@ -58,11 +68,7 @@ rows and up) on the product form.  ``set_branch`` never changes the
 basis, so the tableau carries d and its count of pivots since the last
 refactorization from one call to the next.  The product form
 recomputes d and restarts the count at every call, as carrying either
-would move its pivot paths by their roundoff.  The tableau accepts an
-infeasibility verdict as it accepts an optimal one, without a
-refactorization, when the row that has no entering column equals
-rho [A | I] recomputed from A and the basic solution passes the residual
-check; the product form refactorizes before every such verdict.
+would move its pivot paths by their roundoff.
 
 A tableau's node state is small (T is m (n + m) doubles, a few KB on
 the random models), so ``snapshot`` copies it and ``restore`` puts it
@@ -71,9 +77,9 @@ nonbasic value, bounds and tolerance, the pivots since the last
 refactorization and the branch in place.  Branch and bound snapshots a
 node when it branches, and a child popped off its heap resumes from its
 parent's optimal basis instead of from wherever the search left the
-basis.  The product form takes no snapshot: its B^-1 alone is m^2
-doubles (1.9 MB at 485 rows), and the 75 or so nodes a reference search
-keeps open would hold about 140 MB of them.
+basis.  The product form's snapshot is None, which restores nothing:
+its B^-1 alone is m^2 doubles (1.9 MB at 485 rows), and the 75 or so
+nodes a reference search keeps open would hold about 140 MB of them.
 
 A tableau also prices a branching before it is made.  ``penalties``
 runs the dual's ratio test on the rows of fractional basic columns, once
@@ -81,9 +87,9 @@ for each direction their bound can move, and returns the bound gain of
 that first dual pivot (Driebeek, 1966).  The gain is a valid lower bound
 on the child's objective increase, as each point of the dual ray is dual
 feasible for the child's bounds.  A row with no entering column proves
-its child infeasible under the infeasibility verdict's rule above.  The
-product form would pay a BTRAN and a row of A'rho per candidate, and
-offers no penalties.
+its child infeasible when the basis is trusted, as an infeasibility
+verdict is.  The product form would pay a BTRAN and a row of A'rho per
+candidate, and gives zero penalties, which bound nothing.
 
 Solves min c'x subject to row constraints and variable bounds.  Binary
 variables from the MILP arrive here already relaxed to their bounds.
@@ -338,19 +344,24 @@ class LpWorkspace:
         # The dual's state (module docstring): the basic positions of
         # ``xnb`` are stale, filled with beta (or zeros, to refactor)
         # wherever it is read whole.
-        self.row_of = np.full(self.ncols, -1, dtype=np.intp)
-        self.row_of[self.basis] = np.arange(m)
         self.dirv = np.where(at_ub, -1.0, 1.0)
         self.dirv[self.lb == self.ub] = 0.0
         self.dirv[self.basis] = 0.0
         self.xnb = np.where(self.dirv < 0, self.ub, self.lb)
         self.xnb[self.basis] = 0.0
         self.col_tol = _feasibility_tol(self.lb, self.ub)
+        self._index_basis()
+        self.beta = self.b - self._mat_vec(self.xnb)
+        self._basis_ready = True
+
+    def _index_basis(self):
+        """Each column's basis row, and the bounds and tolerance of each
+        basic position, from ``basis`` and the columns' own."""
+        self.row_of = np.full(self.ncols, -1, dtype=np.intp)
+        self.row_of[self.basis] = np.arange(self.m)
         self.lb_b = self.lb[self.basis]
         self.ub_b = self.ub[self.basis]
         self.tol_b = self.col_tol[self.basis]
-        self.beta = self.b - self._mat_vec(self.xnb)
-        self._basis_ready = True
 
     def _refactor(self) -> np.ndarray:
         """Invert the basis afresh and return the reduced costs.
@@ -358,8 +369,10 @@ class LpWorkspace:
         The tableau is solved for whole, T = B^-1 [A | I], and its
         reduced costs follow from it; the product form gets a new base
         from the basis's kernel and an empty tail.  The basic values are
-        recomputed from the resident nonbasic ones.
+        recomputed from the resident nonbasic ones, and the count of
+        pivots since the last refactorization restarts.
         """
+        self.since_refactor = 0
         if self.tableau:
             A = self.A_dense
             try:
@@ -457,9 +470,7 @@ class LpWorkspace:
         return self.Bt.T @ x + self.Ut[:t].T @ (self.Wt[:t] @ x)
 
     def _btran(self, y: np.ndarray) -> np.ndarray:
-        """B^-T y for a dense y."""
-        if self.tableau:
-            return self.T[:, self.n_struct :].T @ y
+        """B^-T y for a dense y, in the product form."""
         t = self.t
         return self.Bt @ y + self.Wt[:t].T @ (self.Ut[:t] @ y)
 
@@ -476,8 +487,6 @@ class LpWorkspace:
 
     def _solution_residual(self) -> float:
         """Max row residual of the current basic solution, scaled by b."""
-        if self.m == 0:
-            return 0.0
         resid = np.abs(self.b - self._mat_vec(self.values_extended()))
         return float(resid[resid.argmax()]) / self.b_scale
 
@@ -519,6 +528,13 @@ class LpWorkspace:
         drift = np.abs(rho @ self.A_dense - arow).max()
         return bool(drift <= _RESIDUAL_TOL * max(1.0, size))
 
+    def _trusted(self, r: int | None = None) -> bool:
+        """Whether the basis is trusted (module docstring), with r the
+        row of an infeasibility verdict."""
+        if r is not None and not (self.tableau and self._row_is_exact(r)):
+            return False
+        return self._solution_residual() <= _RESIDUAL_TOL
+
     def _dual(self, cutoff: float | None = None) -> str:
         m = self.m
         if m == 0:
@@ -528,8 +544,7 @@ class LpWorkspace:
             self.since_refactor = 0  # counted per call (module docstring)
         bland = False
         stall = 0
-        confirmed = False
-        retried = False
+        fresh = False  # nothing has pivoted since a refactorization
         deadline = self.iterations + _ITER_LIMIT
         # The workspace's state, which each pivot keeps up to date (bounds
         # stay put while the dual pivots).
@@ -548,34 +563,23 @@ class LpWorkspace:
         while True:
             if cutoff is not None and est > near:
                 est = self.objective()
+                # The objective is a dual bound; past the cutoff the
+                # caller will discard this node.
                 if est > cutoff:
-                    # The objective is a dual bound; past the cutoff the
-                    # caller will discard this node, so stop pivoting as
-                    # soon as a drift check (or a refactorization)
-                    # confirms.
-                    if self._solution_residual() <= _RESIDUAL_TOL:
+                    if fresh or self._trusted():
                         return STATUS_CUTOFF
-                    d = self._refactor()
-                    self.since_refactor = 0
-                    est = self.objective()
-                    if est > cutoff:
-                        return STATUS_CUTOFF
+                    d, est, fresh = self._refactor(), np.inf, True
+                    continue
             viol_lo = lb_b - self.beta
             viol_hi = self.beta - ub_b
             viol = np.maximum(viol_lo, viol_hi)
             scaled = viol / tol
             r = int(scaled.argmax())
             if scaled[r] <= 1.0:
-                if confirmed:
+                if fresh or self._trusted():
                     return STATUS_OPTIMAL
-                # Accept a drift-free basis without the cost of a full
-                # refactorization; fall back to one otherwise.
-                if self._solution_residual() <= _RESIDUAL_TOL:
-                    return STATUS_OPTIMAL
-                d, est = self._refactor(), np.inf
-                confirmed = True
+                d, est, fresh = self._refactor(), np.inf, True
                 continue
-            confirmed = False
             if bland:
                 cand = np.nonzero(scaled > 1.0)[0]
                 r = int(cand[np.argmin(self.basis[cand])])
@@ -592,24 +596,9 @@ class LpWorkspace:
             else:
                 cand = (toward < -piv_tol).nonzero()[0]
             if not cand.size:
-                if retried:
-                    # Nothing pivoted since the refactorization below, so
-                    # another would rebuild the same state.
+                if fresh or self._trusted(r):
                     return STATUS_INFEASIBLE
-                # Trust the verdict of a drift-free tableau row and basic
-                # solution, as an optimal one is trusted; re-derive
-                # everything from a fresh factorization otherwise.
-                if (
-                    self.tableau
-                    and self._row_is_exact(r)
-                    and self._solution_residual() <= _RESIDUAL_TOL
-                ):
-                    return STATUS_INFEASIBLE
-                d, est = self._refactor(), np.inf
-                still = np.maximum(lb_b - self.beta, self.beta - ub_b) / tol
-                if still[still.argmax()] <= 1.0:
-                    return STATUS_OPTIMAL
-                retried = True
+                d, est, fresh = self._refactor(), np.inf, True
                 continue
 
             ratios = np.abs(d[cand] / arow[cand])  # |d| / |arow|, bit for bit
@@ -622,7 +611,7 @@ class LpWorkspace:
 
             self.iterations += 1
             self.since_refactor += 1
-            retried = False
+            fresh = False
             if self.iterations > deadline:
                 raise SolverError("iteration limit exceeded")
 
@@ -652,8 +641,7 @@ class LpWorkspace:
                 bland = True
             self._update_binv(alpha, rho, r)
             if self.since_refactor >= _REFACTOR_EVERY:
-                d, est = self._refactor(), np.inf
-                self.since_refactor = 0
+                d, est, fresh = self._refactor(), np.inf, True
 
     # -- public entry points ---------------------------------------------
 
@@ -750,22 +738,22 @@ class LpWorkspace:
         # The branch is replaced by set_branch, never changed in place.
         return arrays, self.since_refactor, self._branch
 
-    def restore(self, state: tuple):
+    def restore(self, state: tuple | None):
         """Return to a snapshot's state, whose arrays the workspace takes
-        over: a snapshot restores once."""
+        over: a snapshot restores once.  None, the product form's
+        snapshot, leaves the workspace as it is."""
+        if state is None:
+            return
         arrays, self.since_refactor, self._branch = state
         for name, array in zip(self._NODE_ARRAYS, arrays):
             setattr(self, name, array)
         self._conflict = False
-        self.row_of = np.full(self.ncols, -1, dtype=np.intp)
-        self.row_of[self.basis] = np.arange(self.m)
-        self.lb_b = self.lb[self.basis]
-        self.ub_b = self.ub[self.basis]
-        self.tol_b = self.col_tol[self.basis]
+        self._index_basis()
 
     def penalties(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Driebeek's down and up penalties of binary columns at
-        fractional values, in a solved tableau (module docstring).
+        fractional values, in a solved workspace (module docstring); the
+        product form gives zeros.
 
         Column j's down penalty is the bound gain of the first dual pivot
         after its upper bound drops to 0, its up penalty that after its
@@ -773,11 +761,13 @@ class LpWorkspace:
         with its ``dirv``, pivot tolerance and |d / arow| rule, gives the
         least ratio, and the gain is |delta| times it.  The objective plus
         a penalty bounds that child's optimum from below.  A child whose
-        row has no entering column gets inf only when the row equals
-        rho [A | I] recomputed and the basic solution passes the residual
-        check, as ``_dual`` requires for an infeasibility verdict;
-        otherwise it gets 0, as do both children of a nonbasic column.
+        row has no entering column gets inf only when ``_trusted`` passes
+        on that row, as ``_dual`` requires for an unrefactorized
+        infeasibility verdict; otherwise it gets 0, as do both children
+        of a nonbasic column.
         """
+        if not self.tableau:
+            return np.zeros(cols.size), np.zeros(cols.size)
         rows = self.row_of[cols]
         arow = self.T[rows]
         size = np.abs(arow[:, self.n_struct :]).max(axis=1)
@@ -792,9 +782,8 @@ class LpWorkspace:
         up *= 1.0 - beta
         proven = np.isinf(down) | np.isinf(up)
         if proven.any():
-            drift_free = self._solution_residual() <= _RESIDUAL_TOL
             for k in np.flatnonzero(proven):
-                proven[k] = drift_free and self._row_is_exact(rows[k])
+                proven[k] = self._trusted(rows[k])
             down[np.isinf(down) & ~proven] = 0.0
             up[np.isinf(up) & ~proven] = 0.0
         nonbasic = rows < 0

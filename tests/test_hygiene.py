@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used."""
+"""Source hygiene: every name a package module imports is used, and only
+the LP engine asks which form of the basis inverse it holds."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,35 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def attribute_reads(source: str, name: str) -> list[int]:
+    """The lines where the module reads an attribute called ``name``."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.ctx, ast.Load)
+        }
+    )
+
+
+def test_the_scan_sees_an_attribute_read():
+    source = "ws.tableau = True\nif ws.tableau:\n    f(self.tableau)\n"
+    assert attribute_reads(source, "tableau") == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(
+        p for p in Path(vecopt.__file__).parent.glob("*.py")
+        if p.name != "simplex.py"
+    ),
+    ids=lambda p: p.name,
+)
+def test_only_the_engine_reads_the_form_of_the_inverse(path):
+    """Branch and bound and the rest ask the workspace for penalties and
+    snapshots, which answer in either form, never which form it is."""
+    assert attribute_reads(path.read_text(), "tableau") == []

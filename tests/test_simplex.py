@@ -845,6 +845,57 @@ def test_infeasible_node_is_refactorized_once(monkeypatch, tableau):
         assert refactorizations(0.0) == 1
 
 
+def test_refactorized_verdict_restarts_the_pivot_count(monkeypatch):
+    """A verdict that stands only after a refactorization restarts the
+    count of pivots since the last one.
+
+    A tableau dive on drifted rows (each row's structural part perturbed,
+    as above) pivots its basic solution off A x = b, so its optimal
+    verdict fails the residual check: the dual refactorizes once, at a
+    primal feasible basis, and returns with ``since_refactor`` at 0.
+    """
+    prob = build_milp(random_scenario(10))
+    ws = LpWorkspace(prob)
+    assert ws.tableau and ws.solve_primal() == STATUS_OPTIMAL
+    assert ws.since_refactor > 0
+    binaries = prob.binary_indices()
+    vals = ws.values_extended()[binaries]
+    j = int(binaries[np.abs(vals - np.round(vals)) > FEAS_TOL][0])
+    assert ws.set_branch({j: (1.0, 1.0)})
+    ws.T[:, : ws.n_struct] += 1e-6
+    feasible_at = []
+    refactor = ws._refactor
+
+    def counted():
+        scaled = np.maximum(ws.lb_b - ws.beta, ws.beta - ws.ub_b) / ws.tol_b
+        feasible_at.append(bool(scaled.max() <= 1.0))
+        return refactor()
+
+    monkeypatch.setattr(ws, "_refactor", counted)
+    before = ws.iterations
+    assert ws.solve_dual() == STATUS_OPTIMAL
+    assert ws.iterations > before
+    assert feasible_at == [True]
+    assert ws.since_refactor == 0
+    cold = LpWorkspace(prob, {j: (1.0, 1.0)})
+    assert cold.solve_primal() == STATUS_OPTIMAL
+    assert ws.objective() == pytest.approx(cold.objective(), abs=OBJ_TOL)
+
+
+def test_product_form_prices_nothing_and_restores_nothing():
+    """The 79-row small@1 keeps the product form: its penalties are zero
+    for every candidate, and its snapshot, None, restores nothing."""
+    ws = LpWorkspace(build_milp(build_reference_scenario("small", 1)))
+    assert not ws.tableau and ws.solve_primal() == STATUS_OPTIMAL
+    cand = ws.problem.binary_indices()
+    down, up = ws.penalties(cand)
+    assert np.array_equal(down, np.zeros(cand.size))
+    assert np.array_equal(up, np.zeros(cand.size))
+    z, basis = ws.objective(), ws.basis.copy()
+    ws.restore(ws.snapshot())
+    assert ws.objective() == z and np.array_equal(ws.basis, basis)
+
+
 def test_branch_conflict_is_reported():
     prob = build_milp(random_scenario(3))
     j = int(prob.binary_indices()[0])

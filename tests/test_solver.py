@@ -324,6 +324,30 @@ def test_resumed_search_matches_highs(monkeypatch):
     assert restores >= 300
 
 
+def test_budget_stop_gap_counts_only_open_nodes():
+    """A budget stop's gap is the incumbent less the least key left open.
+
+    The node taken last before the stop has been processed: it is closed,
+    or its children wait on the heap or in the plunge under keys of at
+    least its bound, so its own bound leaves the gap.  On these two mini
+    corpus instances it lay below every open key, and the gap read 0.0778
+    and 0.8994 W with it.  The bound the gap gives must still cover
+    HiGHS's optimum.
+    """
+    for seed, limit, gap in (
+        (530809576, 20, 0.0649363),
+        (437662764, 5, 0.8855579),
+    ):
+        s = random_scenario(seed)
+        sol = solve_scenario(s, node_limit=limit)
+        assert sol.status == "timeout"
+        assert sol.stats.gap == pytest.approx(gap, abs=1e-6), seed
+        status, optimum = highs_milp(build_milp(s))
+        assert status == "optimal"
+        bound = sol.objective - sol.stats.gap
+        assert bound <= optimum + 1e-9 * max(1.0, abs(optimum)), seed
+
+
 def test_penalty_keys_bound_the_open_tree():
     """Every budget stop's gap still covers the optimum.
 
