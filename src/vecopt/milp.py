@@ -19,9 +19,11 @@ Rows:
 The objective prices activation at idle power, processing at 1/efficiency,
 and serving at the full-traffic replication cost along the fixed route.
 
-``MilpProblem.sparse``, built once from the rows and variables, holds the
-model as arrays.  The LP workspace, the assignment checks and the
-interchange export all read that one form.
+``build_milp`` writes the model in one pass straight into the arrays of
+``MilpProblem.sparse``, beside the row labels and variable names.  The LP
+workspace, the assignment checks and the interchange export all read that
+one form; ``MilpProblem.rows`` and ``.variables`` are read-only record
+views of it, built on first read for people and tests.
 
 The module also detects groups of interchangeable nodes (identical spec,
 identical route costs from every source, no relay or bandwidth
@@ -46,32 +48,29 @@ from .types import (
     Scenario,
 )
 
-ROLE_ASSIGN = "assign"
-ROLE_SERVE = "serve"
-ROLE_ACTIVATE = "activate"
-
 # How far an assignment may stray from a bound, from integrality, or from
 # a row (there scaled by max(1, |rhs|)) and still count as feasible.
 FEAS_TOL = 1e-6
 
 SENSE_LE, SENSE_GE, SENSE_EQ = 0, 1, 2
-_SENSE_CODE = {"<=": SENSE_LE, ">=": SENSE_GE, "=": SENSE_EQ}
+SENSES = ("<=", ">=", "=")  # a row's relation, by sense code
 
 
 @dataclass(frozen=True)
 class VarDef:
+    """One column of ``MilpProblem.variables``, a view of the arrays."""
+
     name: str
     kind: str  # "continuous" | "binary"
     lower: float
     upper: float
     objective: float
-    role: str
-    demand: str | None
-    node: str
 
 
 @dataclass(frozen=True)
 class RowDef:
+    """One row of ``MilpProblem.rows``, a view of the arrays."""
+
     label: str
     coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
     sense: str  # "<=", ">=", "="
@@ -96,13 +95,18 @@ class SparseForm:
     c: np.ndarray  # (n,) objective
     binary: np.ndarray  # (n,) bool
 
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MilpProblem:
     """A minimization MILP plus the scenario it was built from."""
 
-    variables: tuple[VarDef, ...]
-    rows: tuple[RowDef, ...]
+    sparse: SparseForm
+    row_labels: tuple[str, ...]
+    var_names: tuple[str, ...]
     demand_ids: tuple[str, ...]
     node_ids: tuple[str, ...]
     scenario: Scenario = field(repr=False)
@@ -125,24 +129,36 @@ class MilpProblem:
         return 2 * self.n_demands * self.n_nodes + n
 
     @functools.cached_property
-    def sparse(self) -> SparseForm:
-        """The model as arrays; the only reader of ``RowDef.coeffs``."""
-        rows, variables = self.rows, self.variables
-        entries = [e for r in rows for e in r.coeffs]
-        form = SparseForm(
-            row=np.repeat(np.arange(len(rows)), [len(r.coeffs) for r in rows]),
-            col=np.array([j for j, _ in entries], dtype=np.intp),
-            val=np.array([c for _, c in entries], dtype=float),
-            sense=np.array([_SENSE_CODE[r.sense] for r in rows], dtype=np.int8),
-            rhs=np.array([r.rhs for r in rows], dtype=float),
-            lb=np.array([v.lower for v in variables], dtype=float),
-            ub=np.array([v.upper for v in variables], dtype=float),
-            c=np.array([v.objective for v in variables], dtype=float),
-            binary=np.array([v.kind == "binary" for v in variables], dtype=bool),
+    def variables(self) -> tuple[VarDef, ...]:
+        """The columns as records, built from the arrays on first read."""
+        form = self.sparse
+        return tuple(
+            VarDef(name, "binary" if binary else "continuous", lo, hi, cost)
+            for name, lo, hi, cost, binary in zip(
+                self.var_names,
+                form.lb.tolist(),
+                form.ub.tolist(),
+                form.c.tolist(),
+                form.binary.tolist(),
+            )
         )
-        for array in vars(form).values():
-            array.flags.writeable = False
-        return form
+
+    @functools.cached_property
+    def rows(self) -> tuple[RowDef, ...]:
+        """The rows as records, built from the arrays on first read."""
+        form = self.sparse
+        ends = np.cumsum(np.bincount(form.row, minlength=form.rhs.size))
+        terms = list(zip(form.col.tolist(), form.val.tolist()))
+        return tuple(
+            RowDef(label, tuple(terms[start:end]), SENSES[code], rhs)
+            for label, start, end, code, rhs in zip(
+                self.row_labels,
+                [0, *ends.tolist()],
+                ends.tolist(),
+                form.sense.tolist(),
+                form.rhs.tolist(),
+            )
+        )
 
     @functools.cached_property
     def cleanup(self) -> CleanupArrays:
@@ -287,163 +303,118 @@ def interchange_classes(scenario: Scenario) -> list[list[int]]:
 
 
 def build_milp(scenario: Scenario) -> MilpProblem:
-    """Assemble the placement MILP for a validated scenario."""
+    """Assemble the placement MILP for a validated scenario.
+
+    One pass writes the variables (the x, y and a blocks) and then the
+    rows, family by family in the order of the module docstring, straight
+    into the arrays of ``MilpProblem.sparse``.
+    """
     demands = scenario.demands
     nodes = scenario.nodes
     D, N = len(demands), len(nodes)
-    params = {n.id: derive_power_params(n, scenario.options) for n in nodes}
+    DN = D * N
+    params = [derive_power_params(n, scenario.options) for n in nodes]
+    pairs = [(demand, node) for demand in demands for node in nodes]
+    big_m = [min(node.capacity_mips, dm.workload_mips) for dm, node in pairs]
+    names = [f"x[{dm.id},{node.id}]" for dm, node in pairs]
+    names += [f"y[{dm.id},{node.id}]" for dm, node in pairs]
+    names += [f"a[{node.id}]" for node in nodes]
+    cost = [1.0 / p.efficiency_mips_per_w for _ in demands for p in params]
+    cost += [  # the first walk of every route: raises if one is missing
+        dm.traffic_bps * route_energy_per_bit(scenario, dm.source, node.id)
+        for dm, node in pairs
+    ]
+    cost += [p.idle_power_w for p in params]
 
-    for d in demands:
-        for n in nodes:
-            scenario.route(d.source, n.id)  # raises if unreachable
+    labels: list[str] = []
+    senses: list[int] = []
+    rhs: list[float] = []
+    lengths: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
 
-    def xi(d: int, n: int) -> int:
-        return d * N + n
+    def add(label, row_cols, row_vals, sense, bound):
+        labels.append(label)
+        senses.append(sense)
+        rhs.append(bound)
+        lengths.append(len(row_cols))
+        cols.extend(row_cols)
+        vals.extend(row_vals)
 
-    def yi(d: int, n: int) -> int:
-        return D * N + d * N + n
-
-    def ai(n: int) -> int:
-        return 2 * D * N + n
-
-    variables: list[VarDef] = []
+    # The y index of pair j = d*N + n is DN + j, and node n's a is 2*DN + n.
     for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            big_m = min(node.capacity_mips, demand.workload_mips)
-            variables.append(
-                VarDef(
-                    name=f"x[{demand.id},{node.id}]",
-                    kind="continuous",
-                    lower=0.0,
-                    upper=big_m,
-                    objective=1.0 / params[node.id].efficiency_mips_per_w,
-                    role=ROLE_ASSIGN,
-                    demand=demand.id,
-                    node=node.id,
-                )
-            )
-    for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            comm = demand.traffic_bps * route_energy_per_bit(
-                scenario, demand.source, node.id
-            )
-            variables.append(
-                VarDef(
-                    name=f"y[{demand.id},{node.id}]",
-                    kind="binary",
-                    lower=0.0,
-                    upper=1.0,
-                    objective=comm,
-                    role=ROLE_SERVE,
-                    demand=demand.id,
-                    node=node.id,
-                )
-            )
-    for node in nodes:
-        variables.append(
-            VarDef(
-                name=f"a[{node.id}]",
-                kind="binary",
-                lower=0.0,
-                upper=1.0,
-                objective=params[node.id].idle_power_w,
-                role=ROLE_ACTIVATE,
-                demand=None,
-                node=node.id,
-            )
+        add(
+            f"conserve[{demand.id}]",
+            range(d * N, d * N + N),
+            [1.0] * N,
+            SENSE_EQ,
+            demand.workload_mips,
         )
-    rows: list[RowDef] = []
-    for d, demand in enumerate(demands):
-        rows.append(
-            RowDef(
-                label=f"conserve[{demand.id}]",
-                coeffs=tuple((xi(d, n), 1.0) for n in range(N)),
-                sense="=",
-                rhs=demand.workload_mips,
-            )
+    for j, (demand, node) in enumerate(pairs):
+        add(
+            f"bigm[{demand.id},{node.id}]",
+            (j, DN + j),
+            (1.0, -big_m[j]),
+            SENSE_LE,
+            0.0,
         )
-    for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            big_m = min(node.capacity_mips, demand.workload_mips)
-            rows.append(
-                RowDef(
-                    label=f"bigm[{demand.id},{node.id}]",
-                    coeffs=((xi(d, n), 1.0), (yi(d, n), -big_m)),
-                    sense="<=",
-                    rhs=0.0,
-                )
-            )
     for n, node in enumerate(nodes):
-        rows.append(
-            RowDef(
-                label=f"capacity[{node.id}]",
-                coeffs=tuple((xi(d, n), 1.0) for d in range(D))
-                + ((ai(n), -node.capacity_mips),),
-                sense="<=",
-                rhs=0.0,
-            )
+        add(
+            f"capacity[{node.id}]",
+            [*range(n, DN, N), 2 * DN + n],
+            [1.0] * D + [-node.capacity_mips],
+            SENSE_LE,
+            0.0,
         )
-    for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            rows.append(
-                RowDef(
-                    label=f"serve_active[{demand.id},{node.id}]",
-                    coeffs=((yi(d, n), 1.0), (ai(n), -1.0)),
-                    sense="<=",
-                    rhs=0.0,
-                )
-            )
+    for j, (demand, node) in enumerate(pairs):
+        add(
+            f"serve_active[{demand.id},{node.id}]",
+            (DN + j, 2 * DN + j % N),
+            (1.0, -1.0),
+            SENSE_LE,
+            0.0,
+        )
     node_pos = {node.id: n for n, node in enumerate(nodes)}
     for d, demand in enumerate(demands):
         src = node_pos.get(demand.source)
         src_cap = nodes[src].capacity_mips if src is not None else 0.0
         if src_cap < demand.workload_mips:
-            rows.append(
-                RowDef(
-                    label=f"cover[{demand.id}]",
-                    coeffs=tuple(
-                        (yi(d, n), 1.0) for n in range(N) if n != src
-                    ),
-                    sense=">=",
-                    rhs=1.0,
-                )
+            others = [DN + d * N + n for n in range(N) if n != src]
+            add(
+                f"cover[{demand.id}]",
+                others,
+                [1.0] * len(others),
+                SENSE_GE,
+                1.0,
             )
     for source in sorted(
         {d.source for d in demands}, key=node_pos.__getitem__
     ):
-        rows.append(
-            RowDef(
-                label=f"source_active[{source}]",
-                coeffs=((ai(node_pos[source]), 1.0),),
-                sense="=",
-                rhs=1.0,
-            )
+        add(
+            f"source_active[{source}]",
+            (2 * DN + node_pos[source],),
+            (1.0,),
+            SENSE_EQ,
+            1.0,
         )
-    for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            for relay in scenario.path_intermediates(demand.source, node.id):
-                rows.append(
-                    RowDef(
-                        label=(
-                            f"relay_active[{demand.id},{node.id},{relay}]"
-                        ),
-                        coeffs=((yi(d, n), 1.0), (ai(node_pos[relay]), -1.0)),
-                        sense="<=",
-                        rhs=0.0,
-                    )
-                )
+    for j, (demand, node) in enumerate(pairs):
+        for relay in scenario.path_intermediates(demand.source, node.id):
+            add(
+                f"relay_active[{demand.id},{node.id},{relay}]",
+                (DN + j, 2 * DN + node_pos[relay]),
+                (1.0, -1.0),
+                SENSE_LE,
+                0.0,
+            )
 
     # Bandwidth: each serving node other than the source pulls the full
     # demand traffic across every link of its route.
     usage: dict[str, list[tuple[int, float]]] = {}
-    for d, demand in enumerate(demands):
-        for n, node in enumerate(nodes):
-            if node.id == demand.source:
-                continue
-            for link_id in scenario.route(demand.source, node.id).links:
-                usage.setdefault(link_id, []).append(
-                    (yi(d, n), demand.traffic_bps)
-                )
+    for j, (demand, node) in enumerate(pairs):
+        if node.id == demand.source:
+            continue
+        for link_id in scenario.route(demand.source, node.id).links:
+            usage.setdefault(link_id, []).append((DN + j, demand.traffic_bps))
     shared_dsrc = scenario.options.dsrc_medium == "shared"
     shared_terms: dict[int, float] = {}
     for link in scenario.links:
@@ -454,30 +425,41 @@ def build_milp(scenario: Scenario) -> MilpProblem:
             for idx, t in terms:
                 shared_terms[idx] = shared_terms.get(idx, 0.0) + t
             continue
-        rows.append(
-            RowDef(
-                label=f"bandwidth[{link.id}]",
-                coeffs=tuple(terms),
-                sense="<=",
-                rhs=link.capacity_bps,
-            )
+        add(
+            f"bandwidth[{link.id}]",
+            [idx for idx, _ in terms],
+            [t for _, t in terms],
+            SENSE_LE,
+            link.capacity_bps,
         )
     if shared_dsrc and shared_terms:
         dsrc_caps = [
             l.capacity_bps for l in scenario.links if l.kind == IFACE_DSRC
         ]
-        rows.append(
-            RowDef(
-                label="bandwidth[dsrc_medium]",
-                coeffs=tuple(sorted(shared_terms.items())),
-                sense="<=",
-                rhs=min(dsrc_caps),
-            )
+        merged = sorted(shared_terms)
+        add(
+            "bandwidth[dsrc_medium]",
+            merged,
+            [shared_terms[idx] for idx in merged],
+            SENSE_LE,
+            min(dsrc_caps),
         )
 
+    form = SparseForm(
+        row=np.repeat(np.arange(len(labels)), lengths),
+        col=np.array(cols, dtype=np.intp),
+        val=np.array(vals, dtype=float),
+        sense=np.array(senses, dtype=np.int8),
+        rhs=np.array(rhs, dtype=float),
+        lb=np.zeros(len(names)),
+        ub=np.array(big_m + [1.0] * (DN + N), dtype=float),
+        c=np.array(cost, dtype=float),
+        binary=np.arange(len(names)) >= DN,
+    )
     return MilpProblem(
-        variables=tuple(variables),
-        rows=tuple(rows),
+        sparse=form,
+        row_labels=tuple(labels),
+        var_names=tuple(names),
         demand_ids=tuple(d.id for d in demands),
         node_ids=tuple(n.id for n in nodes),
         scenario=scenario,
@@ -500,7 +482,7 @@ def check_assignment(problem: MilpProblem, values: Sequence[float]) -> list[str]
     fractional = _fractional(form, v)
     out = []
     for i in np.flatnonzero(out_of_bounds | fractional):
-        name = problem.variables[i].name
+        name = problem.var_names[i]
         if out_of_bounds[i]:
             out.append(f"{name}: value {v[i]:g} outside bounds")
         if fractional[i]:
@@ -516,7 +498,7 @@ def check_assignment(problem: MilpProblem, values: Sequence[float]) -> list[str]
     )
     for i in np.flatnonzero(violated):
         op = _VIOLATED[form.sense[i]]
-        out.append(f"{problem.rows[i].label}: {lhs[i]:g} {op} {rhs[i]:g}")
+        out.append(f"{problem.row_labels[i]}: {lhs[i]:g} {op} {rhs[i]:g}")
     return out
 
 
@@ -533,15 +515,15 @@ def extract_placement(
     if fractional.size:
         i = fractional[0]
         raise PlacementError(
-            f"{problem.variables[i].name}: fractional value {v[i]:g} "
+            f"{problem.var_names[i]}: fractional value {v[i]:g} "
             "in integer assignment"
         )
-    x: dict[tuple[str, str], float] = {}
-    for d, demand_id in enumerate(problem.demand_ids):
-        for n, node_id in enumerate(problem.node_ids):
-            amount = float(v[problem.x_index(d, n)])
-            if amount > PLACEMENT_THRESHOLD:
-                x[(demand_id, node_id)] = amount
+    N = problem.n_nodes
+    placed = np.flatnonzero(v[: problem.n_demands * N] > PLACEMENT_THRESHOLD)
+    x = {
+        (problem.demand_ids[k // N], problem.node_ids[k % N]): amount
+        for k, amount in zip(placed.tolist(), v[placed].tolist())
+    }
     return Placement.build(problem.scenario, x)
 
 
@@ -549,7 +531,7 @@ def assignment_from_placement(
     problem: MilpProblem, placement: Placement
 ) -> np.ndarray:
     """Full variable vector (x, y, a) matching a placement."""
-    v = np.zeros(len(problem.variables))
+    v = np.zeros(problem.sparse.c.size)
     node_pos = {node_id: n for n, node_id in enumerate(problem.node_ids)}
     demand_pos = {d_id: d for d, d_id in enumerate(problem.demand_ids)}
     for (d_id, n_id), amount in placement.x.items():
@@ -616,7 +598,7 @@ def to_fixed_format(problem: MilpProblem, name: str = "VECOPT") -> str:
         )
 
     form = problem.sparse
-    labels = [ident(row.label) for row in problem.rows]
+    labels = [ident(label) for label in problem.row_labels]
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
     for label, code in zip(labels, form.sense.tolist()):
         lines.append(f" {'LGE'[code]}  {label}")
@@ -626,22 +608,23 @@ def to_fixed_format(problem: MilpProblem, name: str = "VECOPT") -> str:
     # form's float arrays, and ``tolist`` hands repr plain floats.
     by_col = np.argsort(form.col, kind="stable")
     entries = list(zip(form.row[by_col].tolist(), form.val[by_col].tolist()))
-    counts = np.bincount(form.col, minlength=len(problem.variables))
+    counts = np.bincount(form.col, minlength=form.c.size)
     starts = np.cumsum(counts) - counts
     cost, lb, ub = form.c.tolist(), form.lb.tolist(), form.ub.tolist()
+    binary = form.binary.tolist()
 
     lines.append("COLUMNS")
     in_int = False
     marker = 0
-    for j, var in enumerate(problem.variables):
-        if (var.kind == "binary") != in_int:
+    for j, var_name in enumerate(problem.var_names):
+        if binary[j] != in_int:
             tag = "INTORG" if not in_int else "INTEND"
             lines.append(
                 f"    MARKER{marker:<8}'MARKER'                 '{tag}'"
             )
             in_int = not in_int
             marker += 1
-        col = ident(var.name)
+        col = ident(var_name)
         lines.append(f"    {col:<24}{'COST':<24}{cost[j]!r}")
         for i, coeff in entries[starts[j] : starts[j] + counts[j]]:
             lines.append(f"    {col:<24}{labels[i]:<24}{coeff!r}")
@@ -656,9 +639,9 @@ def to_fixed_format(problem: MilpProblem, name: str = "VECOPT") -> str:
             lines.append(f"    RHS{'':<21}{label:<24}{rhs!r}")
 
     lines.append("BOUNDS")
-    for j, var in enumerate(problem.variables):
-        col = ident(var.name)
-        if var.kind == "binary":
+    for j, var_name in enumerate(problem.var_names):
+        col = ident(var_name)
+        if binary[j]:
             lines.append(f" BV BND{'':<21}{col}")
         else:
             if lb[j] != 0.0:

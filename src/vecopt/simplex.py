@@ -827,7 +827,7 @@ def solve_lp(
         return LpSolution(
             status=status,
             objective=float("nan"),
-            values=np.full(len(problem.variables), np.nan),
+            values=np.full(problem.sparse.c.size, np.nan),
             iterations=ws.iterations,
         )
     return LpSolution(

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used, and only
-the LP engine asks which form of the basis inverse it holds."""
+"""Source hygiene: every name a package module imports is used, only the
+LP engine asks which form of the basis inverse it holds, and only the
+model builder makes model records."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,32 @@ def test_only_the_engine_reads_the_form_of_the_inverse(path):
     """Branch and bound and the rest ask the workspace for penalties and
     snapshots, which answer in either form, never which form it is."""
     assert attribute_reads(path.read_text(), "tableau") == []
+
+
+def calls(source: str, name: str) -> list[int]:
+    """The lines where the module calls something called ``name``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_a_call():
+    source = "VarDef('x')\nm.VarDef('y')\nf(VarDef)\nk = RowDef\n"
+    assert calls(source, "VarDef") == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_model_is_read_as_arrays(path):
+    """``build_milp`` writes the arrays directly, and the solver reads them,
+    never the record views ``rows`` and ``variables`` built from them."""
+    source = path.read_text()
+    if path.name in ("bnb.py", "simplex.py"):
+        for view in ("rows", "variables"):
+            assert attribute_reads(source, view) == []
+    if path.name != "milp.py":
+        for record in ("VarDef", "RowDef"):
+            assert calls(source, record) == []

@@ -1,16 +1,14 @@
 """Model construction: variables, rows, costs, and assignment helpers."""
 
 import hashlib
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from handmade import hand_model
 from vecopt.milp import (
-    ROLE_ACTIVATE,
-    ROLE_ASSIGN,
-    ROLE_SERVE,
-    MilpProblem,
     RowDef,
     VarDef,
     assignment_from_placement,
@@ -24,8 +22,8 @@ from vecopt.milp import (
 )
 from vecopt.power import cloud_only_placement
 from vecopt.randgen import random_scenario
-from vecopt.scenario import build_reference_scenario
-from vecopt.types import PlacementError
+from vecopt.scenario import CLASS_ORDER, build_reference_scenario
+from vecopt.types import PLACEMENT_THRESHOLD, PlacementError
 
 
 def small1():
@@ -37,15 +35,20 @@ def test_variable_layout():
     assert prob.n_demands == 1
     assert prob.n_nodes == 25
     assert len(prob.variables) == 3 * 25
-    roles = Counter(v.role for v in prob.variables)
-    assert roles == {ROLE_ASSIGN: 25, ROLE_SERVE: 25, ROLE_ACTIVATE: 25}
     # x block, then y block, then a block, all in scenario node order
     assert prob.x_index(0, 0) == 0
     assert prob.y_index(0, 0) == 25
     assert prob.a_index(0) == 50
-    assert prob.variables[prob.x_index(0, 3)].kind == "continuous"
-    assert prob.variables[prob.y_index(0, 3)].kind == "binary"
-    assert prob.variables[prob.a_index(3)].kind == "binary"
+    for n, node_id in enumerate(prob.node_ids):
+        x = prob.variables[prob.x_index(0, n)]
+        y = prob.variables[prob.y_index(0, n)]
+        a = prob.variables[prob.a_index(n)]
+        assert (x.kind, y.kind, a.kind) == ("continuous", "binary", "binary")
+        assert (x.name, y.name, a.name) == (
+            f"x[d0,{node_id}]",
+            f"y[d0,{node_id}]",
+            f"a[{node_id}]",
+        )
 
 
 def test_row_census():
@@ -256,6 +259,29 @@ def test_clean_assignment_matches_the_per_demand_loop():
     assert checked == 40 * len(problems)
 
 
+def test_extract_placement_matches_the_per_pair_loop(monkeypatch):
+    class Raw:  # hands back the amounts extract_placement picked
+        build = staticmethod(lambda scenario, x: x)
+
+    monkeypatch.setattr("vecopt.milp.Placement", Raw)
+    rng = np.random.default_rng(11)
+    for seed in range(30):
+        prob = build_milp(random_scenario(seed))
+        for _ in range(10):
+            v = clean_assignment(prob, noisy_relaxation(prob, rng))
+            edge = rng.integers(0, prob.n_demands * prob.n_nodes, 3)
+            v[edge] = PLACEMENT_THRESHOLD  # exactly at it: not placed
+            want = {}
+            for d, demand_id in enumerate(prob.demand_ids):
+                for n, node_id in enumerate(prob.node_ids):
+                    amount = float(v[prob.x_index(d, n)])
+                    if amount > PLACEMENT_THRESHOLD:
+                        want[(demand_id, node_id)] = amount
+            got = extract_placement(prob, v)
+            assert list(got.items()) == list(want.items())
+            assert all(type(amount) is float for amount in got.values())
+
+
 def test_fixed_format_sections():
     prob = small1()
     text = to_fixed_format(prob)
@@ -282,18 +308,58 @@ def test_fixed_format_bytes_are_pinned():
     )
 
 
+def test_model_bytes_are_pinned_across_every_row_family():
+    # The 30 reference models and the first 200 models of the mini corpus
+    # draw hold every row family, cover and the shared DSRC medium
+    # included; the digest moves with any coefficient, bound, label or
+    # order in any of them.
+    rng = random.Random(42)
+    seeds = [rng.randrange(2**31) for _ in range(200)]
+    scenarios = [
+        build_reference_scenario(cls, count)
+        for cls in CLASS_ORDER
+        for count in range(1, 11)
+    ] + [random_scenario(seed) for seed in seeds]
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        digest.update(to_fixed_format(build_milp(scenario)).encode())
+    assert digest.hexdigest() == (
+        "f84f3cf4d995d94cd327385b4084461f06851ad8f302a3b849ec8038a5af82f8"
+    )
+
+
+def test_record_views_give_back_the_arrays():
+    # bench/checks.py and people read the rows and variables as records;
+    # a model written from those records has the same bytes.
+    for scenario in (
+        build_reference_scenario("small", 1),
+        build_reference_scenario("medium", 4),
+        random_scenario(3),
+    ):
+        prob = build_milp(scenario)
+        again = hand_model(
+            prob.variables, prob.rows, prob.demand_ids, prob.node_ids
+        )
+        assert again.row_labels == prob.row_labels
+        assert again.var_names == prob.var_names
+        for name, array in vars(prob.sparse).items():
+            copy = getattr(again.sparse, name)
+            assert copy.dtype == array.dtype
+            assert copy.tobytes() == array.tobytes()
+            assert not array.flags.writeable
+
+
 def test_fixed_format_spells_every_number_as_a_float():
     # A scenario file may give whole numbers as JSON integers; the export
     # spells a value the same way whichever type it arrived as.
-    prob = MilpProblem(
+    prob = hand_model(
         variables=(
-            VarDef("x[d0,n0]", "continuous", 1, 5, 2, "assign", "d0", "n0"),
-            VarDef("y[d0,n0]", "binary", 0, 1, 3, "serve", "d0", "n0"),
+            VarDef("x[d0,n0]", "continuous", 1, 5, 2),
+            VarDef("y[d0,n0]", "binary", 0, 1, 3),
         ),
         rows=(RowDef("bigm[d0,n0]", ((0, 1), (1, -5)), "<=", 7),),
         demand_ids=("d0",),
         node_ids=("n0",),
-        scenario=None,
     )
     lines = to_fixed_format(prob).splitlines()
     assert lines[lines.index("COLUMNS") + 1 : lines.index("RHS")] == [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from handmade import hand_model
 from vecopt import simplex
 from vecopt.bnb import _BOUND_MARGIN
 from vecopt.milp import FEAS_TOL, MilpProblem, RowDef, VarDef, build_milp
@@ -33,9 +34,6 @@ def synth_problem(rng: random.Random) -> MilpProblem:
             lower=0.0,
             upper=rng.uniform(0.5, 10.0),
             objective=rng.uniform(-5.0, 5.0),
-            role="assign",
-            demand=None,
-            node=f"n{j}",
         )
         for j in range(n)
     )
@@ -49,12 +47,11 @@ def synth_problem(rng: random.Random) -> MilpProblem:
         sense = rng.choice(["<=", ">=", "="])
         rhs = rng.uniform(-6.0, 12.0)
         rows.append(RowDef(label=f"r{i}", coeffs=coeffs, sense=sense, rhs=rhs))
-    return MilpProblem(
+    return hand_model(
         variables=variables,
         rows=tuple(rows),
         demand_ids=("d0",),
         node_ids=tuple(f"n{j}" for j in range(n)),
-        scenario=None,
     )
 
 
@@ -106,15 +103,14 @@ def assert_row_feasible(problem: MilpProblem, values: np.ndarray):
 
 
 def test_known_tiny_lp():
-    prob = MilpProblem(
+    prob = hand_model(
         variables=(
-            VarDef("x0", "continuous", 0.0, 1.0, -1.0, "assign", None, "n0"),
-            VarDef("x1", "continuous", 0.0, 1.0, -1.0, "assign", None, "n1"),
+            VarDef("x0", "continuous", 0.0, 1.0, -1.0),
+            VarDef("x1", "continuous", 0.0, 1.0, -1.0),
         ),
         rows=(RowDef("cap", ((0, 1.0), (1, 1.0)), "<=", 1.0),),
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
-        scenario=None,
     )
     sol = solve_lp(prob)
     assert sol.status == STATUS_OPTIMAL
@@ -123,30 +119,28 @@ def test_known_tiny_lp():
 
 
 def test_infeasible_row_detected():
-    prob = MilpProblem(
+    prob = hand_model(
         variables=(
-            VarDef("x0", "continuous", 0.0, 1.0, 1.0, "assign", None, "n0"),
-            VarDef("x1", "continuous", 0.0, 1.0, 1.0, "assign", None, "n1"),
+            VarDef("x0", "continuous", 0.0, 1.0, 1.0),
+            VarDef("x1", "continuous", 0.0, 1.0, 1.0),
         ),
         rows=(RowDef("need", ((0, 1.0), (1, 1.0)), ">=", 5.0),),
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
-        scenario=None,
     )
     assert solve_lp(prob).status == STATUS_INFEASIBLE
 
 
 def test_cost_toward_an_infinite_bound_is_refused():
     # x0 gains from growing without limit: no slack basis is dual feasible
-    prob = MilpProblem(
+    prob = hand_model(
         variables=(
-            VarDef("x0", "continuous", 0.0, np.inf, -1.0, "assign", None, "n0"),
-            VarDef("x1", "continuous", 0.0, 1.0, 1.0, "assign", None, "n1"),
+            VarDef("x0", "continuous", 0.0, np.inf, -1.0),
+            VarDef("x1", "continuous", 0.0, 1.0, 1.0),
         ),
         rows=(RowDef("need", ((0, 1.0), (1, 1.0)), ">=", 2.0),),
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
-        scenario=None,
     )
     with pytest.raises(SolverError):
         LpWorkspace(prob).solve_primal()
@@ -408,9 +402,9 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
 
 def two_var_problem(*rows) -> MilpProblem:
     """x0, x1 in [0, 4] with unit costs, under (coeffs, sense, rhs) rows."""
-    return MilpProblem(
+    return hand_model(
         variables=tuple(
-            VarDef(f"x{j}", "continuous", 0.0, 4.0, 1.0, "assign", None, f"n{j}")
+            VarDef(f"x{j}", "continuous", 0.0, 4.0, 1.0)
             for j in range(2)
         ),
         rows=tuple(
@@ -419,7 +413,6 @@ def two_var_problem(*rows) -> MilpProblem:
         ),
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
-        scenario=None,
     )
 
 
@@ -582,7 +575,8 @@ def next_branch(
     elif move == 1:  # free one entry again
         del new[rng.choice(sorted(new))]
     elif move == 2:  # narrow a continuous x column
-        xs = [j for j, v in enumerate(prob.variables) if v.role == "assign"]
+        D, N = prob.n_demands, prob.n_nodes
+        xs = [prob.x_index(d, n) for d in range(D) for n in range(N)]
         j = rng.choice(xs)
         hi = ws.root_ub[j]
         new[j] = (rng.uniform(0.0, 0.5) * hi, rng.uniform(0.5, 1) * hi)
