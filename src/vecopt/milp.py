@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .power import derive_power_params
+from .power import derive_power_params, hop_energy_per_bit
 from .types import (
     IFACE_DSRC,
     PLACEMENT_THRESHOLD,
@@ -192,14 +192,6 @@ class MilpProblem:
         return self.sparse.c.copy()
 
 
-def route_energy_per_bit(scenario: Scenario, src: str, dst: str) -> float:
-    """Joules per bit along the fixed route (zero when src == dst)."""
-    return sum(
-        scenario.link(l).energy_per_bit
-        for l in scenario.route(src, dst).links
-    )
-
-
 def _spec_key(node) -> tuple:
     return (
         node.tier,
@@ -238,11 +230,9 @@ def _pair_interchangeable(
                 return False
             if ln_id == lm_id:
                 continue
-            if (ln.kind, ln.capacity_bps, ln.energy_per_bit) != (
-                lm.kind,
-                lm.capacity_bps,
-                lm.energy_per_bit,
-            ):
+            # Spec-equal endpoints map onto each other, so equal kinds
+            # price the two links alike.
+            if (ln.kind, ln.capacity_bps) != (lm.kind, lm.capacity_bps):
                 return False
             # A differing link must serve no third destination, or the
             # swap would drag unrelated bandwidth terms along.
@@ -313,18 +303,20 @@ def build_milp(scenario: Scenario) -> MilpProblem:
     nodes = scenario.nodes
     D, N = len(demands), len(nodes)
     DN = D * N
-    params = [derive_power_params(n, scenario.options) for n in nodes]
+    params = {n.id: derive_power_params(n, scenario.options) for n in nodes}
     pairs = [(demand, node) for demand in demands for node in nodes]
     big_m = [min(node.capacity_mips, dm.workload_mips) for dm, node in pairs]
     names = [f"x[{dm.id},{node.id}]" for dm, node in pairs]
     names += [f"y[{dm.id},{node.id}]" for dm, node in pairs]
     names += [f"a[{node.id}]" for node in nodes]
-    cost = [1.0 / p.efficiency_mips_per_w for _ in demands for p in params]
+    cost = [1.0 / params[node.id].efficiency_mips_per_w for _, node in pairs]
+    hop = {link.id: hop_energy_per_bit(params, link) for link in scenario.links}
     cost += [  # the first walk of every route: raises if one is missing
-        dm.traffic_bps * route_energy_per_bit(scenario, dm.source, node.id)
+        dm.traffic_bps
+        * sum(hop[l] for l in scenario.route(dm.source, node.id).links)
         for dm, node in pairs
     ]
-    cost += [p.idle_power_w for p in params]
+    cost += [params[node.id].idle_power_w for node in nodes]
 
     labels: list[str] = []
     senses: list[int] = []

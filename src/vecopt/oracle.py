@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .bnb import MilpSolution, SolveStats
-from .power import derive_power_params, evaluate_placement
+from .power import derive_power_params, evaluate_placement, hop_energy_per_bit
 from .types import Placement, Scenario
 
 _EPS = 1e-9
@@ -130,9 +130,9 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
             f"{D} demands x {N} nodes exceeds the {MAX_CELLS}-cell budget"
         )
 
-    params = [derive_power_params(n, scenario.options) for n in nodes]
-    idle = [p.idle_power_w for p in params]
-    eff = [p.efficiency_mips_per_w for p in params]
+    params = {n.id: derive_power_params(n, scenario.options) for n in nodes}
+    idle = [p.idle_power_w for p in params.values()]
+    eff = [p.efficiency_mips_per_w for p in params.values()]
     caps = [n.capacity_mips for n in nodes]
     pos = {n.id: k for k, n in enumerate(nodes)}
 
@@ -152,7 +152,7 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
             except Exception:
                 continue
             energy = sum(
-                scenario.link(l).energy_per_bit for l in path.links
+                hop_energy_per_bit(params, scenario.link(l)) for l in path.links
             )
             mask = 1 << k
             for relay in scenario.path_intermediates(demand.source, node.id):

@@ -15,6 +15,7 @@ from typing import Mapping
 from .types import (
     IFACE_CORE,
     IFACE_DSRC,
+    Link,
     ModelOptions,
     NodeSpec,
     Placement,
@@ -51,15 +52,15 @@ _STATED_EFFICIENCY = (
 class PowerParams:
     """Derived affine power coefficients for one node.
 
-    ``tx_energy_per_bit`` and ``rx_energy_per_bit`` map interface kind to
-    joules per bit; the two are equal kind-for-kind (symmetric radios).
+    ``energy_per_bit`` maps interface kind to the joules per bit the node
+    pays for each bit it sends or receives on that interface (symmetric
+    radios).
     """
 
     node_id: str
     efficiency_mips_per_w: float
     idle_power_w: float
-    tx_energy_per_bit: Mapping[str, float]
-    rx_energy_per_bit: Mapping[str, float]
+    energy_per_bit: Mapping[str, float]
 
 
 def _close(a: float, b: float) -> bool:
@@ -96,7 +97,7 @@ def derive_power_params(spec: NodeSpec, options: ModelOptions) -> PowerParams:
             break
 
     comm_budget = span * spec.communication_fraction
-    tx: dict[str, float] = {}
+    per_bit: dict[str, float] = {}
     for iface in spec.interfaces:
         if iface.capacity_bps <= 0:
             raise DerivationError(
@@ -104,19 +105,27 @@ def derive_power_params(spec: NodeSpec, options: ModelOptions) -> PowerParams:
             )
         if iface.kind == IFACE_CORE:
             if spec.tier == TIER_CLOUD:
-                tx[iface.kind] = options.cloud_path_energy_per_bit
+                per_bit[iface.kind] = options.cloud_path_energy_per_bit
             else:
                 # Transport energy along the core path is attributed to
                 # the cloud end so it is paid exactly once per bit.
-                tx[iface.kind] = 0.0
+                per_bit[iface.kind] = 0.0
         else:
-            tx[iface.kind] = comm_budget / iface.capacity_bps
+            per_bit[iface.kind] = comm_budget / iface.capacity_bps
     return PowerParams(
         node_id=spec.id,
         efficiency_mips_per_w=efficiency,
         idle_power_w=spec.idle_power_w,
-        tx_energy_per_bit=tx,
-        rx_energy_per_bit=dict(tx),
+        energy_per_bit=per_bit,
+    )
+
+
+def hop_energy_per_bit(params: Mapping[str, PowerParams], link: Link) -> float:
+    """Joules per bit crossing ``link``: its head's plus its tail's figure
+    for the link's kind, read from ``params`` by node id."""
+    head, tail = params[link.head], params[link.tail]
+    return head.energy_per_bit.get(link.kind, 0.0) + tail.energy_per_bit.get(
+        link.kind, 0.0
     )
 
 
@@ -154,10 +163,8 @@ def node_power(
     if load_mips < 0:
         raise ValueError(f"node {params.node_id}: negative load")
     watts = params.idle_power_w + load_mips / params.efficiency_mips_per_w
-    for kind, bps in tx_bps.items():
-        watts += bps * params.tx_energy_per_bit.get(kind, 0.0)
-    for kind, bps in rx_bps.items():
-        watts += bps * params.rx_energy_per_bit.get(kind, 0.0)
+    for kind, bps in (*tx_bps.items(), *rx_bps.items()):
+        watts += bps * params.energy_per_bit.get(kind, 0.0)
     return watts
 
 

@@ -110,7 +110,7 @@ def random_scenario(
             )
         )
 
-    links = wire_links(node_tuple, options)
+    links = wire_links(node_tuple)
     scenario = Scenario(
         nodes=node_tuple,
         links=links,

@@ -108,17 +108,14 @@ def attachment_map(scenario_nodes: tuple[NodeSpec, ...]) -> dict[str, str]:
     }
 
 
-def wire_links(
-    nodes: tuple[NodeSpec, ...], options: ModelOptions
-) -> tuple[Link, ...]:
+def wire_links(nodes: tuple[NodeSpec, ...]) -> tuple[Link, ...]:
     """Build the directed link set implied by the node tiers.
 
     Every vehicle pair gets a DSRC link each way; each vehicle gets WiFi
     links to and from its access point; edge pairs get WiFi links; every
-    edge-cloud pair gets core links.  Link energy per bit is the head's
-    transmit coefficient plus the tail's receive coefficient.
+    edge-cloud pair gets core links, each at the lower of its endpoints'
+    interface rates.  A link's energy follows from its endpoints' ratings.
     """
-    params = {n.id: derive_power_params(n, options) for n in nodes}
 
     def make(head: NodeSpec, tail: NodeSpec, kind: str) -> Link:
         cap_head = head.interface(kind)
@@ -133,10 +130,6 @@ def wire_links(
             tail=tail.id,
             kind=kind,
             capacity_bps=min(cap_head.capacity_bps, cap_tail.capacity_bps),
-            energy_per_bit=(
-                params[head.id].tx_energy_per_bit.get(kind, 0.0)
-                + params[tail.id].rx_energy_per_bit.get(kind, 0.0)
-            ),
         )
 
     vehicles = [n for n in nodes if n.tier == TIER_VEHICLE]
@@ -269,7 +262,7 @@ def build_reference_scenario(
         + [_edge_spec(j) for j in range(EDGE_COUNT)]
         + cloud_pool(workload * request_count, options)
     )
-    links = wire_links(nodes, options)
+    links = wire_links(nodes)
     demands = tuple(
         DemandSpec(
             id=f"d{r}",
@@ -304,7 +297,7 @@ _NODE_NUMBERS = (
     "communication_fraction",
     "capacity_mips",
 )
-_LINK_NUMBERS = ("capacity_bps", "energy_per_bit")
+_LINK_NUMBERS = ("capacity_bps",)
 _DEMAND_NUMBERS = ("workload_mips", "traffic_bps")
 _OPTION_NUMBERS = (
     "instructions_per_bit",
@@ -349,7 +342,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     An empty list means the scenario is valid.  Violations are data, not
     exceptions, so loaders and tests can inspect them.  A number of the
     wrong type or that is not finite is reported, and the range checks
-    that would read it are skipped.
+    that would read it are skipped.  A node whose numbers are readable
+    must also yield power coefficients, so that every hop can be priced.
     """
     out: list[str] = []
     seen_nodes: set[str] = set()
@@ -397,6 +391,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"node {node.id}: interface {iface.kind} capacity "
                     "must be positive"
                 )
+        try:
+            derive_power_params(node, scenario.options)
+        except DerivationError as exc:
+            out.append(str(exc))
 
     node_map = {n.id: n for n in scenario.nodes}
     pair_dirs = {(l.head, l.tail) for l in scenario.links}
@@ -411,8 +409,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out.append(f"link {link.id}: unknown kind {link.kind!r}")
         bad = _number_problems(f"link {link.id}", link, _LINK_NUMBERS)
         out += bad
-        if not bad and link.energy_per_bit < 0:
-            out.append(f"link {link.id}: negative energy per bit")
         head = node_map.get(link.head)
         tail = node_map.get(link.tail)
         if head is None or tail is None:
@@ -579,7 +575,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         options = ModelOptions(**doc.get("options", {}))
     except TypeError as exc:
         raise ScenarioError(f"options: {exc}") from None
-    # Traffic and link wiring below read the options before validation.
+    # Traffic below reads the options before validation.
     problems = _option_problems(options)
     if problems:
         raise ScenarioError("; ".join(problems))
@@ -602,16 +598,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         doc.get("nodes", ()), NodeSpec, "node", interfaces=interfaces
     )
     if "links" in doc:
+        # Earlier versions wrote each link's energy too; it is ignored.
         links = _read_records(doc["links"], Link, "link")
     else:
-        # Wiring prices links from the node numbers, so they go first.
+        # Wiring compares the interface rates, so the numbers go first.
         problems = [p for node in nodes for p in _node_number_problems(node)]
         if problems:
             raise ScenarioError("; ".join(problems))
-        try:
-            links = wire_links(nodes, options)
-        except DerivationError as exc:
-            raise ScenarioError(str(exc)) from None
+        links = wire_links(nodes)
     demands = _read_records(
         doc.get("demands", ()), DemandSpec, "demand", traffic_bps=traffic
     )

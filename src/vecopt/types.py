@@ -88,9 +88,9 @@ class NodeSpec:
 class Link:
     """A directed network link between two nodes.
 
-    ``energy_per_bit`` is the joule cost charged to traffic crossing the
-    link: the head's transmit coefficient plus the tail's receive
-    coefficient for the link's interface kind.
+    A link carries no energy of its own: traffic crossing it is priced
+    from its endpoints' coefficients for its interface kind, by
+    :func:`vecopt.power.hop_energy_per_bit`.
     """
 
     id: str
@@ -98,7 +98,6 @@ class Link:
     tail: str
     kind: str
     capacity_bps: float
-    energy_per_bit: float
 
 
 @dataclass(frozen=True)

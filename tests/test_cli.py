@@ -11,6 +11,7 @@ from vecopt.cli import (
     EXIT_USAGE,
     main,
 )
+from vecopt.power import derive_power_params, hop_energy_per_bit
 from vecopt.scenario import load_scenario, validate_scenario
 
 
@@ -165,6 +166,46 @@ def test_solve_rejects_a_string_workload(tmp_path, capsys):
     assert out == ""
     assert "workload_mips must be a finite number" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("wired", [True, False])
+def test_solve_rejects_an_unpriceable_node(tmp_path, capsys, wired):
+    def edit(doc):
+        doc["nodes"][0]["processing_fraction"] = 0
+        if not wired:  # the loader wires links from the node numbers
+            del doc["links"], doc["routes"]
+
+    code, out, err = solve_edited(tmp_path, capsys, edit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(
+        "error: invalid scenario file: node v0: no processing power budget"
+    )
+    assert "Traceback" not in err
+
+
+def test_solve_prices_hops_from_the_node_ratings(tmp_path, capsys):
+    # Earlier versions stored each link's energy_per_bit; a stored figure
+    # ten times the one the ratings give moves neither the objective nor
+    # the priced total.
+    path = tmp_path / "scenario.json"
+    argv = ["scenario", "--class", "small", "--requests", "3"]
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    code, wired, _ = run(capsys, "solve", str(path))
+    assert code == EXIT_OK
+    scenario = load_scenario(path)
+    params = {
+        n.id: derive_power_params(n, scenario.options) for n in scenario.nodes
+    }
+    doc = json.loads(path.read_text())
+    for link, entry in zip(scenario.links, doc["links"]):
+        entry["energy_per_bit"] = 10 * hop_energy_per_bit(params, link)
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == EXIT_OK
+    solved = json.loads(out)
+    assert solved["objective_w"] == json.loads(wired)["objective_w"]
+    assert solved["objective_w"] == solved["power"]["total_w"]
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,13 @@ from vecopt.milp import (
     clean_assignment,
     extract_placement,
     interchange_classes,
-    route_energy_per_bit,
     to_fixed_format,
 )
-from vecopt.power import cloud_only_placement
+from vecopt.power import (
+    cloud_only_placement,
+    derive_power_params,
+    hop_energy_per_bit,
+)
 from vecopt.randgen import random_scenario
 from vecopt.scenario import CLASS_ORDER, build_reference_scenario
 from vecopt.types import PLACEMENT_THRESHOLD, PlacementError
@@ -94,6 +97,14 @@ def test_objective_costs():
     assert c[prob.y_index(0, n_v1)] == pytest.approx(1.44e6 * 1.05 / 13.5e6)
     assert c[prob.y_index(0, n_e0)] == pytest.approx(1.44e6 * 1.37e-7)
     assert c[prob.y_index(0, n_cl)] == pytest.approx(1.44e6 * 6.37e-7)
+
+
+def route_energy_per_bit(s, src, dst):
+    """Joules per bit along the fixed route, summed hop by hop."""
+    params = {n.id: derive_power_params(n, s.options) for n in s.nodes}
+    return sum(
+        hop_energy_per_bit(params, s.link(l)) for l in s.route(src, dst).links
+    )
 
 
 def test_route_energy_per_bit():

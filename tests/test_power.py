@@ -54,22 +54,21 @@ def test_generic_efficiency_derivation():
     params = derive_power_params(spec, OPTS)
     # capacity over the processing share of the 8 W span
     assert params.efficiency_mips_per_w == pytest.approx(2000.0 / 4.0)
-    assert params.tx_energy_per_bit["wifi"] == pytest.approx(2.0 / 100e6)
-    assert params.rx_energy_per_bit == params.tx_energy_per_bit
+    assert params.energy_per_bit["wifi"] == pytest.approx(2.0 / 100e6)
 
 
 def test_interface_energy_per_bit():
     s = build_reference_scenario("small", 1)
     v = derive_power_params(s.node("v0"), OPTS)
     # 5 W span x 0.21 comm share spread over each interface's line rate
-    assert v.tx_energy_per_bit["dsrc"] == pytest.approx(1.05 / 27e6)
-    assert v.tx_energy_per_bit["wifi"] == pytest.approx(1.05 / 150e6)
+    assert v.energy_per_bit["dsrc"] == pytest.approx(1.05 / 27e6)
+    assert v.energy_per_bit["wifi"] == pytest.approx(1.05 / 150e6)
     e = derive_power_params(s.node("e0"), OPTS)
-    assert e.tx_energy_per_bit["wifi"] == pytest.approx(19.5 / 150e6)
+    assert e.energy_per_bit["wifi"] == pytest.approx(19.5 / 150e6)
     # core transport is charged at the cloud end only
-    assert e.tx_energy_per_bit["core"] == 0.0
+    assert e.energy_per_bit["core"] == 0.0
     c = derive_power_params(s.tier_nodes("cloud")[0], OPTS)
-    assert c.tx_energy_per_bit["core"] == OPTS.cloud_path_energy_per_bit
+    assert c.energy_per_bit["core"] == OPTS.cloud_path_energy_per_bit
 
 
 def test_derivation_rejects_degenerate_specs():
