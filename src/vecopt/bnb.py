@@ -162,7 +162,7 @@ def branch_and_bound(
     DN = D * N
     blocks = range(DN, 2 * DN + 1, N)
     class_of: dict[int, list[int]] = {}
-    for cls in interchange_classes(problem.scenario):
+    for cls in interchange_classes(problem):
         for pos in cls:
             class_of[pos] = cls
 

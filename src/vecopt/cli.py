@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-limit",
         type=_positive(int),
-        default=None,
+        default=DEFAULT_NODE_LIMIT,
         metavar="N",
         help="stop after exploring N branch-and-bound nodes",
     )
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=_positive(int),
-        default=max(1, os.cpu_count() or 1),
+        default=1,
         metavar="N",
         help="parallel solver processes; never affects the numbers",
     )

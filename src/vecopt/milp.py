@@ -25,17 +25,18 @@ workspace, the assignment checks and the interchange export all read that
 one form; ``MilpProblem.rows`` and ``.variables`` are read-only record
 views of it, built on first read for people and tests.
 
-The module also detects groups of interchangeable nodes (identical spec,
-identical route costs from every source, no relay or bandwidth
-entanglement).  The groups do not change the model; the search layer uses
-them to skip permutation duplicates.
+The module also reads groups of interchangeable nodes off those arrays:
+two nodes are grouped when swapping their columns keeps the costs and
+bounds and maps the model's rows onto themselves.  The groups do not
+change the model; the search layer uses them to skip permutation
+duplicates.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,103 +193,57 @@ class MilpProblem:
         return self.sparse.c.copy()
 
 
-def _spec_key(node) -> tuple:
-    return (
-        node.tier,
-        node.max_power_w,
-        node.idle_power_w,
-        node.processing_fraction,
-        node.communication_fraction,
-        node.capacity_mips,
-        tuple(sorted((i.kind, i.capacity_bps) for i in node.interfaces)),
-    )
-
-
-def _pair_interchangeable(
-    scenario: Scenario,
-    n_id: str,
-    m_id: str,
-    link_dests: Mapping[str, set[str]],
-) -> bool:
-    """Whether swapping n and m provably maps the model onto itself."""
-
-    def sub(node_id: str) -> str:
-        if node_id == n_id:
-            return m_id
-        if node_id == m_id:
-            return n_id
-        return node_id
-
-    for demand in scenario.demands:
-        rn = scenario.route(demand.source, n_id).links
-        rm = scenario.route(demand.source, m_id).links
-        if len(rn) != len(rm):
-            return False
-        for ln_id, lm_id in zip(rn, rm):
-            ln, lm = scenario.link(ln_id), scenario.link(lm_id)
-            if sub(ln.head) != lm.head or sub(ln.tail) != lm.tail:
-                return False
-            if ln_id == lm_id:
-                continue
-            # Spec-equal endpoints map onto each other, so equal kinds
-            # price the two links alike.
-            if (ln.kind, ln.capacity_bps) != (lm.kind, lm.capacity_bps):
-                return False
-            # A differing link must serve no third destination, or the
-            # swap would drag unrelated bandwidth terms along.
-            if link_dests.get(ln_id, set()) - {n_id}:
-                return False
-            if link_dests.get(lm_id, set()) - {m_id}:
-                return False
-    return True
-
-
-def interchange_classes(scenario: Scenario) -> list[list[int]]:
+def interchange_classes(problem: MilpProblem) -> list[list[int]]:
     """Groups of node positions the placement model cannot distinguish.
 
-    Membership is conservative: identical hardware, never a demand
-    source, never a relay on any demand route, and route-by-route
-    identical communication structure from every source.
+    Read off the model's arrays alone.  Swapping nodes n and m swaps
+    their columns x[d,n] and y[d,n] for every demand d, and a[n]; the two
+    are grouped when the swap keeps each column's cost, bounds and
+    integrality and maps the rows that touch either node onto the same
+    multiset of rows.  Rows are compared exactly, on sense, right-hand-side
+    bits and their sorted (column, coefficient bits) entries.  A candidate
+    is checked only against its class head, since a product of symmetries
+    is a symmetry.
     """
-    demands = scenario.demands
-    nodes = scenario.nodes
-    sources = {d.source for d in demands}
-    relays: set[str] = set()
-    link_dests: dict[str, set[str]] = {}
-    for demand in demands:
-        for node in nodes:
-            relays.update(
-                scenario.path_intermediates(demand.source, node.id)
-            )
-            for link_id in scenario.route(demand.source, node.id).links:
-                link_dests.setdefault(link_id, set()).add(node.id)
+    form = problem.sparse
+    N = problem.n_nodes
+    # Node n owns the columns k*N + n: x by demand, then y, then a.
+    cols = np.arange(2 * problem.n_demands + 1)[:, None] * N + np.arange(N)
+    keys = np.concatenate(
+        [form.c[cols], form.lb[cols], form.ub[cols], form.binary[cols]]
+    ).T
+    buckets: dict[bytes, list[int]] = {}
+    for n in range(N):
+        buckets.setdefault(keys[n].tobytes(), []).append(n)
+    if all(len(group) == 1 for group in buckets.values()):
+        return []
 
-    by_spec: dict[tuple, list[int]] = {}
-    for pos, node in enumerate(nodes):
-        if node.id in sources or node.id in relays:
-            continue
-        by_spec.setdefault(_spec_key(node), []).append(pos)
+    owner = form.col % N
+    ends = np.cumsum(np.bincount(form.row, minlength=form.rhs.size))
+    terms = list(zip(form.col.tolist(), form.val.view(np.int64).tolist()))
+    spans = list(zip([0, *ends.tolist()], ends.tolist()))
+    heads = list(zip(form.sense.tolist(), form.rhs.view(np.int64).tolist()))
+
+    def swaps(n: int, m: int) -> bool:
+        shift = {n: m - n, m: n - m}
+        touched = set(form.row[(owner == n) | (owner == m)].tolist())
+        before, after = [], []
+        for i in touched:
+            entries = terms[slice(*spans[i])]
+            before.append((heads[i], sorted(entries)))
+            moved = [(j + shift.get(j % N, 0), v) for j, v in entries]
+            after.append((heads[i], sorted(moved)))
+        return sorted(before) == sorted(after)
 
     classes: list[list[int]] = []
-    for group in by_spec.values():
+    for group in buckets.values():
         while len(group) > 1:
             head, rest = group[0], group[1:]
-            cls = [head]
-            left = []
-            for pos in rest:
-                ok = all(
-                    _pair_interchangeable(
-                        scenario,
-                        nodes[a].id,
-                        nodes[pos].id,
-                        link_dests,
-                    )
-                    for a in cls
-                )
-                (cls if ok else left).append(pos)
+            cls, group = [head], []
+            for m in rest:
+                (cls if swaps(head, m) else group).append(m)
             if len(cls) > 1:
                 classes.append(cls)
-            group = left
     return classes
 
 

@@ -342,8 +342,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     An empty list means the scenario is valid.  Violations are data, not
     exceptions, so loaders and tests can inspect them.  A number of the
     wrong type or that is not finite is reported, and the range checks
-    that would read it are skipped.  A node whose numbers are readable
-    must also yield power coefficients, so that every hop can be priced.
+    that would read it are skipped.  A node whose numbers pass the range
+    checks must also yield power coefficients, so that every hop can be
+    priced; a node that fails one is not derived, so no cause is reported
+    twice.
     """
     out: list[str] = []
     seen_nodes: set[str] = set()
@@ -367,6 +369,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out += bad
             unreadable.add(node.id)
             continue
+        in_range = len(out)
         if node.idle_power_w < 0:
             out.append(f"node {node.id}: negative idle power")
         if node.max_power_w < node.idle_power_w:
@@ -391,10 +394,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"node {node.id}: interface {iface.kind} capacity "
                     "must be positive"
                 )
-        try:
-            derive_power_params(node, scenario.options)
-        except DerivationError as exc:
-            out.append(str(exc))
+        if len(out) == in_range:  # else derivation repeats a range cause
+            try:
+                derive_power_params(node, scenario.options)
+            except DerivationError as exc:
+                out.append(str(exc))
 
     node_map = {n.id: n for n in scenario.nodes}
     pair_dirs = {(l.head, l.tail) for l in scenario.links}

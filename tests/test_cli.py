@@ -1,14 +1,17 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import json
+import math
 
 import pytest
 
 from vecopt.cli import (
+    DEFAULT_NODE_LIMIT,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from vecopt.power import derive_power_params, hop_energy_per_bit
@@ -89,6 +92,29 @@ def test_solve_node_limit_exits_timeout(tmp_path, capsys):
     assert doc["status"] == "timeout"
     assert doc["objective_w"] is not None  # incumbent still exported
     assert doc["gap"] > 0
+
+
+def test_solve_has_a_default_node_budget(tmp_path, capsys):
+    # large@5 is not proven within the default budget; without one its
+    # solve runs for minutes
+    path = tmp_path / "large5.json"
+    argv = ["scenario", "--class", "large", "--requests", "5"]
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == EXIT_TIMEOUT
+    doc = json.loads(out)
+    assert doc["status"] == "timeout"
+    assert math.isfinite(doc["gap"]) and doc["gap"] > 0
+
+
+def test_parser_defaults_to_one_worker_and_the_node_budget():
+    parser = build_parser()
+    sweep = parser.parse_args(["sweep"])
+    assert sweep.workers == 1
+    assert sweep.node_limit == DEFAULT_NODE_LIMIT
+    assert parser.parse_args(["solve", "s.json"]).node_limit == (
+        DEFAULT_NODE_LIMIT
+    )
 
 
 def test_solve_infeasible_exits_one(tmp_path, capsys):

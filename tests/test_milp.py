@@ -128,7 +128,7 @@ def test_route_energy_per_bit():
 def test_interchange_classes_group_symmetric_peers():
     s = build_reference_scenario("small", 1)
     order = {n.id: i for i, n in enumerate(s.nodes)}
-    groups = [sorted(g) for g in interchange_classes(s)]
+    groups = [sorted(g) for g in interchange_classes(build_milp(s))]
     # every vehicle but the source is exchangeable, same for edges
     assert [order[f"v{i}"] for i in range(1, 20)] in groups
     assert [order[f"e{j}"] for j in range(1, 4)] in groups
@@ -140,10 +140,47 @@ def test_interchange_classes_group_symmetric_peers():
 def test_interchange_respects_sources():
     s = build_reference_scenario("small", 3)
     order = {n.id: i for i, n in enumerate(s.nodes)}
-    flat = [i for g in interchange_classes(s) for i in g]
+    flat = [i for g in interchange_classes(build_milp(s)) for i in g]
     for src in ("v0", "v1", "v2"):
         assert order[src] not in flat
     assert order["v3"] in flat
+
+
+@pytest.mark.parametrize(
+    "cls, count, vehicles, edges",
+    [("small", 4, 4, 1), ("medium", 10, 10, 2), ("large", 10, 10, 2)],
+)
+def test_interchange_classes_are_pinned(cls, count, vehicles, edges):
+    prob = build_milp(build_reference_scenario(cls, count))
+    names = [
+        [prob.node_ids[n] for n in group]
+        for group in interchange_classes(prob)
+    ]
+    assert names == [
+        [f"v{i}" for i in range(vehicles, 20)],
+        [f"e{j}" for j in range(edges, 4)],
+    ]
+
+
+def test_interchange_classes_read_the_rows_not_the_scenario():
+    prob = build_milp(build_reference_scenario("small", 4))
+    v4, v5 = prob.node_ids.index("v4"), prob.node_ids.index("v5")
+    # a row on v4's activation alone: v4 no longer swaps with its peers
+    extra = RowDef("extra", ((prob.a_index(v4), 1.0),), "<=", 1.0)
+    hand = hand_model(
+        prob.variables,
+        prob.rows + (extra,),
+        prob.demand_ids,
+        prob.node_ids,
+    )
+    assert hand.scenario is None
+    groups = interchange_classes(hand)
+    vehicles = next(g for g in groups if v5 in g)
+    assert v4 not in vehicles
+    assert v4 not in [n for g in groups for n in g]
+    assert [prob.node_ids[n] for n in vehicles] == [
+        f"v{i}" for i in range(5, 20)
+    ]
 
 
 def test_check_assignment_flags_violations():
