@@ -266,10 +266,10 @@ def build_milp(scenario: Scenario) -> MilpProblem:
     names += [f"a[{node.id}]" for node in nodes]
     cost = [1.0 / params[node.id].efficiency_mips_per_w for _, node in pairs]
     hop = {link.id: hop_energy_per_bit(params, link) for link in scenario.links}
-    cost += [  # the first walk of every route: raises if one is missing
-        dm.traffic_bps
-        * sum(hop[l] for l in scenario.route(dm.source, node.id).links)
-        for dm, node in pairs
+    routes = [scenario.hops(dm.source, node.id) for dm, node in pairs]
+    cost += [
+        dm.traffic_bps * sum(hop[link.id] for link in route)
+        for (dm, _), route in zip(pairs, routes)
     ]
     cost += [params[node.id].idle_power_w for node in nodes]
 
@@ -345,23 +345,21 @@ def build_milp(scenario: Scenario) -> MilpProblem:
             1.0,
         )
     for j, (demand, node) in enumerate(pairs):
-        for relay in scenario.path_intermediates(demand.source, node.id):
+        for link in routes[j][:-1]:
             add(
-                f"relay_active[{demand.id},{node.id},{relay}]",
-                (DN + j, 2 * DN + node_pos[relay]),
+                f"relay_active[{demand.id},{node.id},{link.tail}]",
+                (DN + j, 2 * DN + node_pos[link.tail]),
                 (1.0, -1.0),
                 SENSE_LE,
                 0.0,
             )
 
-    # Bandwidth: each serving node other than the source pulls the full
-    # demand traffic across every link of its route.
+    # Bandwidth: each serving node pulls the full demand traffic across
+    # every link of its route (the source's own route has none).
     usage: dict[str, list[tuple[int, float]]] = {}
-    for j, (demand, node) in enumerate(pairs):
-        if node.id == demand.source:
-            continue
-        for link_id in scenario.route(demand.source, node.id).links:
-            usage.setdefault(link_id, []).append((DN + j, demand.traffic_bps))
+    for j, (demand, _) in enumerate(pairs):
+        for link in routes[j]:
+            usage.setdefault(link.id, []).append((DN + j, demand.traffic_bps))
     shared_dsrc = scenario.options.dsrc_medium == "shared"
     shared_terms: dict[int, float] = {}
     for link in scenario.links:

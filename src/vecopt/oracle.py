@@ -136,31 +136,19 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
     caps = [n.capacity_mips for n in nodes]
     pos = {n.id: k for k, n in enumerate(nodes)}
 
-    reachable: list[list[int]] = []
+    # Every node is reachable: validation stores a route from each source.
+    routes = [[scenario.hops(d.source, n.id) for n in nodes] for d in demands]
     comm: list[list[float]] = []
     req_bits: list[list[int]] = []
-    for demand in demands:
-        row_nodes, row_comm, row_req = [], [], []
-        for k, node in enumerate(nodes):
-            if node.id == demand.source:
-                row_nodes.append(k)
-                row_comm.append(0.0)
-                row_req.append(1 << k)
-                continue
-            try:
-                path = scenario.route(demand.source, node.id)
-            except Exception:
-                continue
-            energy = sum(
-                hop_energy_per_bit(params, scenario.link(l)) for l in path.links
-            )
+    for demand, row in zip(demands, routes):
+        row_comm, row_req = [], []
+        for k, hops in enumerate(row):
+            energy = sum(hop_energy_per_bit(params, link) for link in hops)
             mask = 1 << k
-            for relay in scenario.path_intermediates(demand.source, node.id):
-                mask |= 1 << pos[relay]
-            row_nodes.append(k)
+            for link in hops[:-1]:
+                mask |= 1 << pos[link.tail]
             row_comm.append(demand.traffic_bps * energy)
             row_req.append(mask)
-        reachable.append(row_nodes)
         comm.append(row_comm)
         req_bits.append(row_req)
 
@@ -168,26 +156,20 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
     candidates: list[list[tuple[float, int, int, float]]] = []
     for d, demand in enumerate(demands):
         opts = []
-        nd = len(reachable[d])
-        for sel in range(1, 1 << nd):
-            mask = 0
+        for mask in range(1, 1 << N):
             fixed = 0.0
             cap_sum = 0.0
             best_eff = 0.0
-            for bit in range(nd):
-                if sel >> bit & 1:
-                    k = reachable[d][bit]
-                    mask |= 1 << k
-                    fixed += comm[d][bit]
+            req = 0
+            for k in range(N):
+                if mask >> k & 1:
+                    fixed += comm[d][k]
                     cap_sum += caps[k]
                     best_eff = max(best_eff, eff[k])
+                    req |= req_bits[d][k]
             if cap_sum < demand.workload_mips - _EPS:
                 continue
             proc_lb = demand.workload_mips / best_eff
-            req = 0
-            for bit in range(nd):
-                if sel >> bit & 1:
-                    req |= req_bits[d][bit]
             opts.append((fixed + proc_lb, fixed, mask, req))
         if not opts:
             stats = SolveStats(
@@ -220,19 +202,6 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
     # Per-link traffic bookkeeping for the bandwidth check at the leaves.
     link_caps = {l.id: l.capacity_bps for l in scenario.links}
     link_kind = {l.id: l.kind for l in scenario.links}
-    route_links: list[list[tuple[str, ...]]] = []
-    for d, demand in enumerate(demands):
-        per_node = []
-        for k in range(N):
-            if nodes[k].id == demand.source or not (1 << k) & sum(
-                1 << kk for kk in reachable[d]
-            ):
-                per_node.append(())
-                continue
-            per_node.append(
-                tuple(scenario.route(demand.source, nodes[k].id).links)
-            )
-        route_links.append(per_node)
     shared = scenario.options.dsrc_medium == "shared"
     dsrc_rate = min(
         (l.capacity_bps for l in scenario.links if l.kind == "dsrc"),
@@ -245,10 +214,10 @@ def exhaustive_oracle(scenario: Scenario) -> MilpSolution:
         loads: dict[str, float] = {}
         for d in range(D):
             for k in range(N):
-                if masks[d] >> k & 1 and nodes[k].id != demands[d].source:
-                    for link_id in route_links[d][k]:
-                        loads[link_id] = (
-                            loads.get(link_id, 0.0) + demands[d].traffic_bps
+                if masks[d] >> k & 1:
+                    for link in routes[d][k]:
+                        loads[link.id] = (
+                            loads.get(link.id, 0.0) + demands[d].traffic_bps
                         )
         dsrc_total = 0.0
         for link_id, load in loads.items():

@@ -228,10 +228,8 @@ def _link_loads(scenario: Scenario, placement: Placement) -> dict[str, float]:
     loads: dict[str, float] = {}
     for demand in scenario.demands:
         for node_id in placement.serving.get(demand.id, ()):
-            if node_id == demand.source:
-                continue
-            for link_id in scenario.route(demand.source, node_id).links:
-                loads[link_id] = loads.get(link_id, 0.0) + demand.traffic_bps
+            for link in scenario.hops(demand.source, node_id):
+                loads[link.id] = loads.get(link.id, 0.0) + demand.traffic_bps
     return loads
 
 
@@ -280,10 +278,7 @@ def evaluate_placement(scenario: Scenario, placement: Placement) -> PowerReport:
     rx: dict[str, dict[str, float]] = {n.id: {} for n in scenario.nodes}
     for demand in scenario.demands:
         for node_id in placement.serving.get(demand.id, ()):
-            if node_id == demand.source:
-                continue
-            for link_id in scenario.route(demand.source, node_id).links:
-                link = scenario.link(link_id)
+            for link in scenario.hops(demand.source, node_id):
                 t = tx[link.head]
                 t[link.kind] = t.get(link.kind, 0.0) + demand.traffic_bps
                 r = rx[link.tail]

@@ -450,33 +450,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if demand.traffic_bps < 0:
             out.append(f"demand {demand.id}: negative traffic")
 
-    link_map = {l.id: l for l in scenario.links}
-    for (src, dst), path in scenario.routes.items():
-        label = f"route {src}->{dst}"
+    for src, dst in scenario.routes:
         if src not in node_map or dst not in node_map:
-            out.append(f"{label}: unknown endpoint")
+            out.append(f"route {src}->{dst}: unknown endpoint")
             continue
-        at = src
-        visited = [src]
-        broken = False
-        for link_id in path.links:
-            link = link_map.get(link_id)
-            if link is None:
-                out.append(f"{label}: unknown link {link_id}")
-                broken = True
-                break
-            if link.head != at:
-                out.append(f"{label}: link {link_id} does not start at {at}")
-                broken = True
-                break
-            at = link.tail
-            visited.append(at)
-        if broken:
-            continue
-        if at != dst:
-            out.append(f"{label}: chain ends at {at}, not {dst}")
-        if len(visited) != len(set(visited)):
-            out.append(f"{label}: repeats a node")
+        try:
+            scenario.hops(src, dst)
+        except ScenarioError as exc:
+            out.append(str(exc))
 
     for demand in scenario.demands:
         if demand.source not in node_map:

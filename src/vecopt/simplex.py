@@ -112,10 +112,8 @@ _PIVOT_TOL = 1e-9
 _FOLD_TOL = 1e-9  # slack on right-hand sides and bounds when folding rows
 _RESIDUAL_TOL = 1e-9  # scaled row residual that accepts a basis as drift-free
 _TIE_REL, _TIE_ABS = 1e-9, 1e-12  # ratios this close to the least one tie
-_STALL_STEP = 1e-10  # a primal step this small counts toward a stall
 _CONFLICT_TOL = 1e-12  # a branch with lo > hi + this empties a bound
 _CUTOFF_NEAR = 1e-7  # an estimate this close below the cutoff, relative
-_STALL_LIMIT = 50
 _REFACTOR_EVERY = 100
 _FOLD_EVERY = 32  # rank-1 terms the inverse's tail holds before a fold
 _TABLEAU_ROWS = 64  # models with at most this many rows keep a dense tableau
@@ -542,8 +540,6 @@ class LpWorkspace:
         d = self._reduced_costs()
         if not self.tableau:
             self.since_refactor = 0  # counted per call (module docstring)
-        bland = False
-        stall = 0
         fresh = False  # nothing has pivoted since a refactorization
         deadline = self.iterations + _ITER_LIMIT
         # The workspace's state, which each pivot keeps up to date (bounds
@@ -580,9 +576,6 @@ class LpWorkspace:
                     return STATUS_OPTIMAL
                 d, est, fresh = self._refactor(), np.inf, True
                 continue
-            if bland:
-                cand = np.nonzero(scaled > 1.0)[0]
-                r = int(cand[np.argmin(self.basis[cand])])
             above = viol_hi[r] >= viol_lo[r]
             target = ub_b[r] if above else lb_b[r]
             delta = float(self.beta[r] - target)
@@ -604,7 +597,7 @@ class LpWorkspace:
             ratios = np.abs(d[cand] / arow[cand])  # |d| / |arow|, bit for bit
             best = float(ratios[ratios.argmin()])
             ties = cand[ratios <= best * (1 + _TIE_REL) + _TIE_ABS]
-            if bland or ties.size == 1:
+            if ties.size == 1:
                 q = int(ties[0])
             else:
                 q = int(ties[np.abs(arow[ties]).argmax()])
@@ -636,9 +629,6 @@ class LpWorkspace:
             est += abs(theta * delta)
             d -= theta * arow
             d[q] = 0.0
-            stall = stall + 1 if abs(delta) <= _STALL_STEP else 0
-            if stall > _STALL_LIMIT:
-                bland = True
             self._update_binv(alpha, rho, r)
             if self.since_refactor >= _REFACTOR_EVERY:
                 d, est, fresh = self._refactor(), np.inf, True
@@ -816,12 +806,9 @@ class LpWorkspace:
         return float(self.c @ self.values_extended())
 
 
-def solve_lp(
-    problem: MilpProblem,
-    bounds: dict[int, tuple[float, float]] | None = None,
-) -> LpSolution:
-    """Solve the LP relaxation of a model under optional extra bounds."""
-    ws = LpWorkspace(problem, bounds)
+def solve_lp(problem: MilpProblem) -> LpSolution:
+    """Solve the LP relaxation of a model."""
+    ws = LpWorkspace(problem)
     status = ws.solve_primal()
     if status != STATUS_OPTIMAL:
         return LpSolution(

@@ -120,9 +120,6 @@ class Path:
         if not isinstance(self.links, tuple):
             object.__setattr__(self, "links", tuple(self.links))
 
-    def __len__(self):
-        return len(self.links)
-
 
 @dataclass(frozen=True)
 class ModelOptions:
@@ -150,7 +147,8 @@ class Scenario:
 
     Routes are keyed by ``(source_id, dest_id)``. ``build_routes`` in
     :mod:`vecopt.scenario` fills them in from the link set; loaders accept
-    documents without routes and recompute them.
+    documents without routes and recompute them.  Everything else reads a
+    route through ``hops``, which walks and checks it.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -173,12 +171,6 @@ class Scenario:
         except KeyError:
             raise ScenarioError(f"unknown node {node_id!r}") from None
 
-    def link(self, link_id: str) -> Link:
-        try:
-            return self._link_map[link_id]
-        except KeyError:
-            raise ScenarioError(f"unknown link {link_id!r}") from None
-
     @functools.cached_property
     def _node_map(self) -> dict[str, NodeSpec]:
         return {n.id: n for n in self.nodes}
@@ -194,33 +186,45 @@ class Scenario:
     def tier_nodes(self, tier: str) -> tuple[NodeSpec, ...]:
         return tuple(n for n in self.nodes if n.tier == tier)
 
-    def route(self, src: str, dst: str) -> Path:
-        """The stored path from ``src`` to ``dst`` (empty when equal)."""
+    def hops(self, src: str, dst: str) -> tuple[Link, ...]:
+        """The links of the stored route from ``src`` to ``dst``, in order.
+
+        The one walker of routes: a node reaches itself over no links, and
+        a ``ScenarioError`` is raised unless the route is a chain of known
+        links from ``src`` to ``dst`` that visits no node twice.
+        """
         self.node(src)
         self.node(dst)
-        if src == dst:
-            return Path(())
-        try:
-            return self.routes[(src, dst)]
-        except KeyError:
-            raise ScenarioError(f"no route from {src!r} to {dst!r}") from None
+        path = self.routes.get((src, dst))
+        if path is None:
+            if src == dst:
+                return ()
+            raise ScenarioError(f"no route from {src!r} to {dst!r}")
+        hops: list[Link] = []
+        at, visited = src, {src}
+        for link_id in path.links:
+            link = self._link_map.get(link_id)
+            if link is None:
+                fault = f"unknown link {link_id}"
+                break
+            if link.head != at:
+                fault = f"link {link_id} does not start at {at}"
+                break
+            at = link.tail
+            if at in visited:
+                fault = "repeats a node"
+                break
+            visited.add(at)
+            hops.append(link)
+        else:
+            if at == dst:
+                return tuple(hops)
+            fault = f"chain ends at {at}, not {dst}"
+        raise ScenarioError(f"route {src}->{dst}: {fault}")
 
     def path_intermediates(self, src: str, dst: str) -> tuple[str, ...]:
         """Node ids strictly between ``src`` and ``dst`` on their route."""
-        path = self.route(src, dst)
-        nodes = []
-        at = src
-        for link_id in path.links:
-            link = self.link(link_id)
-            if link.head != at:
-                raise ScenarioError(
-                    f"route {src}->{dst}: link {link_id} does not start at {at}"
-                )
-            at = link.tail
-            nodes.append(at)
-        if path.links and at != dst:
-            raise ScenarioError(f"route {src}->{dst}: ends at {at}")
-        return tuple(nodes[:-1])
+        return tuple(link.tail for link in self.hops(src, dst)[:-1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used, only the
-LP engine asks which form of the basis inverse it holds, and only the
-model builder makes model records."""
+LP engine asks which form of the basis inverse it holds, only the model
+builder makes model records, and only the data model walks routes."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,16 @@ def test_the_model_is_read_as_arrays(path):
     if path.name != "milp.py":
         for record in ("VarDef", "RowDef"):
             assert calls(source, record) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "types.py"],
+    ids=lambda p: p.name,
+)
+def test_routes_are_walked_in_one_place(path):
+    """How a route is stored and walked is decided by ``Scenario.hops``
+    alone; the rest read a route's checked links from it."""
+    source = path.read_text()
+    for lookup in ("route", "link"):
+        assert calls(source, lookup) == []

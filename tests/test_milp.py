@@ -102,9 +102,7 @@ def test_objective_costs():
 def route_energy_per_bit(s, src, dst):
     """Joules per bit along the fixed route, summed hop by hop."""
     params = {n.id: derive_power_params(n, s.options) for n in s.nodes}
-    return sum(
-        hop_energy_per_bit(params, s.link(l)) for l in s.route(src, dst).links
-    )
+    return sum(hop_energy_per_bit(params, link) for link in s.hops(src, dst))
 
 
 def test_route_energy_per_bit():

@@ -1,6 +1,7 @@
 """Scenario construction, validation, and serialization round trips."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import random
@@ -27,7 +28,7 @@ from vecopt.scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from vecopt.types import ModelOptions, ScenarioError
+from vecopt.types import ModelOptions, Path, ScenarioError
 
 INSTRUCTIONS_PER_BIT = 2000.0
 
@@ -118,18 +119,39 @@ def test_link_rates():
 
 def test_routes_cover_every_demand_node_pair():
     s = build_reference_scenario("medium", 4)
+    links = {link.id: link for link in s.links}
     for demand in s.demands:
+        assert s.hops(demand.source, demand.source) == ()
         for node in s.nodes:
-            path = s.route(demand.source, node.id)
             if node.id == demand.source:
-                assert len(path) == 0
                 continue
             at = demand.source
-            for link_id in path.links:
-                link = s.link(link_id)
+            for link_id in s.routes[(demand.source, node.id)].links:
+                link = links[link_id]
                 assert link.head == at
                 at = link.tail
             assert at == node.id
+
+
+@pytest.mark.parametrize(
+    "links",
+    [
+        pytest.param(("v0>nowhere",), id="unknown-link"),
+        pytest.param(("v2>v1",), id="starts-elsewhere"),
+        pytest.param(("v0>e0",), id="ends-short"),
+        pytest.param(("v0>e0", "e0>v0", "v0>v1"), id="revisits-a-node"),
+    ],
+)
+def test_validation_reports_what_the_route_walker_raises(links):
+    s = build_reference_scenario("small", 1)
+    broken = dataclasses.replace(
+        s, routes={**s.routes, ("v0", "v1"): Path(links)}
+    )
+    with pytest.raises(ScenarioError) as walked:
+        broken.hops("v0", "v1")
+    assert validate_scenario(broken) == [str(walked.value)]
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(scenario_to_dict(broken))
 
 
 def test_validate_accepts_reference_scenarios():
@@ -289,7 +311,7 @@ def test_loader_recomputes_missing_routes():
     doc = scenario_to_dict(build_reference_scenario("small", 2))
     doc.pop("routes")
     s = scenario_from_dict(doc)
-    assert s.route("v0", "v1").links
+    assert s.hops("v0", "v1")
     assert validate_scenario(s) == []
 
 

@@ -1,5 +1,6 @@
 """Exact solver behaviour: optima, determinism, budgets, oracle agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from vecopt.power import evaluate_placement
 from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario, scenario_from_dict
 from vecopt.simplex import LpWorkspace
+from vecopt.types import ScenarioError
 
 VEHICLE = dict(
     tier="vehicle",
@@ -82,6 +84,13 @@ def test_oracle_matches_hand_values():
     assert sol.objective == pytest.approx(
         10.0 + 2000.0 / 550.0 + traffic * 2 * 1.05 / 27e6
     )
+
+
+def test_oracle_raises_on_a_missing_route():
+    s = two_vehicle_scenario(2000.0)
+    routes = {k: v for k, v in s.routes.items() if k != ("v0", "v1")}
+    with pytest.raises(ScenarioError, match="no route"):
+        exhaustive_oracle(dataclasses.replace(s, routes=routes))
 
 
 def test_oracle_refuses_oversized_instances():
