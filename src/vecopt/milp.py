@@ -163,24 +163,31 @@ class MilpProblem:
 
     @functools.cached_property
     def cleanup(self) -> CleanupArrays:
-        """Demand workloads, sources and route relays as arrays."""
-        scenario = self.scenario
-        D, N = self.n_demands, self.n_nodes
-        node_pos = {node_id: n for n, node_id in enumerate(self.node_ids)}
-        workload = np.array([dm.workload_mips for dm in scenario.demands])
+        """What cleaning reads, taken from the model's rows: the workloads
+        from ``conserve``, the sources from ``source_active``, and each
+        pair's switched nodes from its rows y[d,n] - a[m] <= 0
+        (``serve_active`` and ``relay_active``)."""
+        form = self.sparse
+        DN, N = self.n_demands * self.n_nodes, self.n_nodes
+        count = np.bincount(form.row, minlength=form.rhs.size)
+        at = np.cumsum(count) - count  # each row's first entry
+        first = np.append(form.col, -1)[at]  # read only where count > 0
+        eq = form.sense == SENSE_EQ
+        workload = form.rhs[eq & (count > 0) & (first < DN)]  # demand order
+        fixed = first[eq & (count == 1) & (form.rhs == 1.0)]  # a[v] = 1
         sources = np.zeros(N, dtype=bool)
-        relays = np.zeros((D, N, N), dtype=bool)
-        for d, demand in enumerate(scenario.demands):
-            sources[node_pos[demand.source]] = True
-            for n, node_id in enumerate(self.node_ids):
-                route = scenario.path_intermediates(demand.source, node_id)
-                for relay in route:
-                    relays[d, n, node_pos[relay]] = True
+        sources[fixed[fixed >= 2 * DN] - 2 * DN] = True
+        two = at[(count == 2) & (form.sense == SENSE_LE) & (form.rhs == 0.0)]
+        y, a = form.col[two], form.col[two + 1]
+        switch = (form.val[two] == 1.0) & (form.val[two + 1] == -1.0)
+        switch &= (y >= DN) & (y < 2 * DN) & (a >= 2 * DN)
+        switches = np.zeros((DN, N), dtype=bool)
+        switches[y[switch] - DN, a[switch] - 2 * DN] = True
         arrays = CleanupArrays(
             workload=workload,
             floor=1e-7 * workload,
             sources=sources,
-            relays=relays,
+            switches=switches,
         )
         for array in vars(arrays).values():
             array.flags.writeable = False
@@ -493,12 +500,12 @@ def assignment_from_placement(
 
 @dataclass(frozen=True)
 class CleanupArrays:
-    """What ``clean_assignment`` reads from a model, gathered once."""
+    """What ``clean_assignment`` reads, gathered once from a model's rows."""
 
     workload: np.ndarray  # (D,) MIPS of each demand
     floor: np.ndarray  # (D,) assignment crumbs below this are noise
     sources: np.ndarray  # (N,) bool, node is some demand's source
-    relays: np.ndarray  # (D, N, N) bool, [d, n, m]: m relays d's route to n
+    switches: np.ndarray  # (D*N, N) bool, [d*N + n, m]: serving d at n needs m
 
 
 def clean_assignment(problem: MilpProblem, values: np.ndarray) -> np.ndarray:
@@ -506,8 +513,8 @@ def clean_assignment(problem: MilpProblem, values: np.ndarray) -> np.ndarray:
 
     Zeroes assignment crumbs below a relative threshold, rescales each
     demand's remaining shares so conservation holds exactly, and rederives
-    y and a from the cleaned x plus route requirements.  The arrays it
-    reads are built once per model, as ``problem.cleanup``.
+    y and a from the cleaned x and the model's rows, read once per model
+    into ``problem.cleanup``.
     """
     arrays = problem.cleanup
     v = np.array(values, dtype=float)
@@ -518,10 +525,9 @@ def clean_assignment(problem: MilpProblem, values: np.ndarray) -> np.ndarray:
     total = x.sum(axis=1)
     pos = total > 0
     x[pos] *= (arrays.workload[pos] / total[pos])[:, None]
-    serving = x > 0
-    v[DN : 2 * DN] = serving.ravel()
-    relayed = arrays.relays[serving].any(axis=0)
-    v[2 * DN : 2 * DN + N] = arrays.sources | serving.any(axis=0) | relayed
+    serving = (x > 0).ravel()
+    v[DN : 2 * DN] = serving
+    v[2 * DN : 2 * DN + N] = arrays.sources | (serving @ arrays.switches)
     return v
 
 

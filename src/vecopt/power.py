@@ -223,20 +223,26 @@ class PowerReport:
         }
 
 
-def _link_loads(scenario: Scenario, placement: Placement) -> dict[str, float]:
-    """Bits per second crossing each link under the replication rule."""
+def _traffic(scenario: Scenario, placement: Placement):
+    """Bits per second on each link (by id) and sent and received by each
+    node (by id, then kind), from one walk of the served routes."""
     loads: dict[str, float] = {}
+    tx: dict[str, dict[str, float]] = {n.id: {} for n in scenario.nodes}
+    rx: dict[str, dict[str, float]] = {n.id: {} for n in scenario.nodes}
     for demand in scenario.demands:
         for node_id in placement.serving.get(demand.id, ()):
             for link in scenario.hops(demand.source, node_id):
                 loads[link.id] = loads.get(link.id, 0.0) + demand.traffic_bps
-    return loads
+                t = tx[link.head]
+                t[link.kind] = t.get(link.kind, 0.0) + demand.traffic_bps
+                r = rx[link.tail]
+                r[link.kind] = r.get(link.kind, 0.0) + demand.traffic_bps
+    return loads, tx, rx
 
 
-def check_bandwidth(scenario: Scenario, placement: Placement) -> list[str]:
-    """Bandwidth violations of a placement, as human-readable strings."""
+def _overloads(scenario: Scenario, loads: dict[str, float]) -> list[str]:
+    """Links, or the shared dsrc medium, that carry more than they hold."""
     out = []
-    loads = _link_loads(scenario, placement)
     shared = scenario.options.dsrc_medium == "shared"
     if shared:
         dsrc_links = [l for l in scenario.links if l.kind == IFACE_DSRC]
@@ -258,6 +264,11 @@ def check_bandwidth(scenario: Scenario, placement: Placement) -> list[str]:
     return out
 
 
+def check_bandwidth(scenario: Scenario, placement: Placement) -> list[str]:
+    """Bandwidth violations of a placement, as human-readable strings."""
+    return _overloads(scenario, _traffic(scenario, placement)[0])
+
+
 def evaluate_placement(scenario: Scenario, placement: Placement) -> PowerReport:
     """Total power of a placement under the full-replication traffic rule.
 
@@ -266,24 +277,13 @@ def evaluate_placement(scenario: Scenario, placement: Placement) -> PowerReport:
     link head and receive energy at each tail.  Raises ``PlacementError``
     when the placement breaks conservation, capacity, or bandwidth.
     """
-    problems = placement.violations(scenario) + check_bandwidth(
-        scenario, placement
-    )
+    loads, tx, rx = _traffic(scenario, placement)
+    problems = placement.violations(scenario) + _overloads(scenario, loads)
     if problems:
         raise PlacementError("; ".join(problems))
 
     options = scenario.options
     params = {n.id: derive_power_params(n, options) for n in scenario.nodes}
-    tx: dict[str, dict[str, float]] = {n.id: {} for n in scenario.nodes}
-    rx: dict[str, dict[str, float]] = {n.id: {} for n in scenario.nodes}
-    for demand in scenario.demands:
-        for node_id in placement.serving.get(demand.id, ()):
-            for link in scenario.hops(demand.source, node_id):
-                t = tx[link.head]
-                t[link.kind] = t.get(link.kind, 0.0) + demand.traffic_bps
-                r = rx[link.tail]
-                r[link.kind] = r.get(link.kind, 0.0) + demand.traffic_bps
-
     active = set(placement.active)
     rows = []
     total = 0.0

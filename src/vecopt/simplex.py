@@ -19,8 +19,9 @@ an entering column is gathered from a few contiguous rows; the tail is
 held row by row in ``Ut`` (the u_k) and ``Wt`` (the rho_k, each the
 pivot row of B^-1 that the ratio test computed anyway).  A pivot appends
 one term in O(m); one matrix product folds a full tail into the base,
-and a refactorization replaces both.  Pivot tolerances are relative to
-the vectors they test, so they hold whatever roundoff the tail leaves.
+and a refactorization rebuilds the base in place and empties the tail.
+Pivot tolerances are relative to the vectors they test, so they hold
+whatever roundoff the tail leaves.
 
 A refactorization inverts only the basis kernel, after the first step of
 Suhl & Suhl (1990): a basic slack is a unit column, so B is a unit block
@@ -224,20 +225,12 @@ class LpWorkspace:
     against one threshold (negation is exact).
     """
 
-    def __init__(
-        self,
-        problem: MilpProblem,
-        var_bounds: dict[int, tuple[float, float]] | None = None,
-    ):
+    def __init__(self, problem: MilpProblem):
         self.problem = problem
         form = problem.sparse
         n = form.c.size
         self.n_struct = n
         lb, ub = form.lb.copy(), form.ub.copy()
-        if var_bounds:
-            for j, (lo, hi) in var_bounds.items():
-                lb[j] = max(lb[j], lo)
-                ub[j] = min(ub[j], hi)
 
         # Each row as <= or =: a >= row is negated.  Zero coefficients
         # are dropped.
@@ -379,14 +372,14 @@ class LpWorkspace:
                 raise SolverError(f"singular basis: {exc}") from None
             self.d = self.c - self.c[self.basis] @ self.T
         else:
-            self.Bt = self._kernel_inverse()
+            self._kernel_inverse()
             self.t = 0
         self.xnb[self.basis] = 0.0  # stale entries, out of the sum
         self.beta = self._ftran(self.b - self._mat_vec(self.xnb))
         return self._reduced_costs()
 
-    def _kernel_inverse(self) -> np.ndarray:
-        """B^-T through the basis's structural kernel.
+    def _kernel_inverse(self):
+        """Rebuild the base B^-T in ``Bt`` through the basis's kernel.
 
         Basic slack positions S hold unit columns, e_i at row i =
         basis[p] - n; the structural positions K meet the rows R that no
@@ -396,7 +389,9 @@ class LpWorkspace:
             B^-1[S, rows(S)] = I,  and zero elsewhere,
 
         so one LAPACK call on the k x k kernel replaces one on all of B.
-        The result is written block by block.
+        The blocks overwrite ``Bt`` in place, as nothing views it across a
+        refactorization: the product form has no snapshots, and its reads
+        return new arrays.
         """
         m, n = self.m, self.n_struct
         slack = self.basis >= n
@@ -425,13 +420,12 @@ class LpWorkspace:
             Mt = np.linalg.inv(C[:, :k])  # M' = (B_RK')^-1
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis: {exc}") from None
-        Bt = np.zeros((m, m))
-        top = np.empty((k, m))
-        top[:, K] = Mt
-        top[:, S] = -(Mt @ C[:, k:])
-        Bt[R] = top
-        Bt[srow, S] = 1.0
-        return Bt
+        MC = Mt @ C[:, k:]
+        del C  # released before the base is written over
+        self.Bt.fill(0.0)
+        self.Bt[R[:, None], K] = Mt
+        self.Bt[R[:, None], S] = np.negative(MC, out=MC)
+        self.Bt[srow, S] = 1.0
 
     # The reads of the inverse, one representation or the other: the
     # tableau T = B^-1 [A | I], whose last m columns are B^-1, or the

@@ -133,7 +133,8 @@ def test_the_model_is_read_as_arrays(path):
 )
 def test_routes_are_walked_in_one_place(path):
     """How a route is stored and walked is decided by ``Scenario.hops``
-    alone; the rest read a route's checked links from it."""
+    alone; the rest read a route's checked links from it, and the model's
+    cleanup reads the relays off the model's rows."""
     source = path.read_text()
-    for lookup in ("route", "link"):
+    for lookup in ("route", "link", "path_intermediates"):
         assert calls(source, lookup) == []

@@ -207,7 +207,12 @@ def test_bandwidth_check_flags_overload():
         routes=s.routes,
         options=s.options,
     )
-    assert check_bandwidth(s2, placement)
+    overloads = check_bandwidth(s2, placement)
+    assert overloads and all(o.startswith("link ") for o in overloads)
+    # pricing runs the same test on the loads of its one route walk
+    with pytest.raises(PlacementError) as raised:
+        evaluate_placement(s2, placement)
+    assert str(raised.value) == "; ".join(overloads)
 
 
 def test_random_placements_price_consistently():

@@ -1,5 +1,6 @@
 """LP engine checked against an independent reference implementation."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -53,6 +54,18 @@ def synth_problem(rng: random.Random) -> MilpProblem:
         demand_ids=("d0",),
         node_ids=tuple(f"n{j}" for j in range(n)),
     )
+
+
+def cold_workspace(prob: MilpProblem, branch) -> LpWorkspace:
+    """A fresh workspace on the model with the branch's bounds written into
+    its columns: the cold solve a warm re-solve is checked against."""
+    form = prob.sparse
+    lb, ub = form.lb.copy(), form.ub.copy()
+    for j, (lo, hi) in branch.items():
+        lb[j] = max(lb[j], lo)
+        ub[j] = min(ub[j], hi)
+    form = dataclasses.replace(form, lb=lb, ub=ub)
+    return LpWorkspace(dataclasses.replace(prob, sparse=form))
 
 
 def reference_solve(problem: MilpProblem, bounds=None):
@@ -203,7 +216,7 @@ def test_warm_restart_matches_cold_solve():
                 int(rng.choice(binaries)): rng.choice([(0.0, 0.0), (1.0, 1.0)])
                 for _ in range(rng.randint(1, 3))
             }
-            cold = LpWorkspace(prob, branch)
+            cold = cold_workspace(prob, branch)
             cold_status = cold.solve_primal()
             if not ws.set_branch(branch):
                 # bounds collapsed against a root-fixed variable
@@ -245,7 +258,7 @@ def test_long_warm_pivot_runs_match_cold_solves():
     for _ in range(12):
         j = int(rng.choice(binaries))
         branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
-        cold = LpWorkspace(prob, branch)
+        cold = cold_workspace(prob, branch)
         cold_status = cold.solve_primal()
         conflict = not ws.set_branch(branch)
         warm_status = ws.solve_dual()
@@ -282,7 +295,7 @@ def cutoff_dive(
         fixed = [int(j) for j in rng.sample(binaries, per_step)]
         for j in fixed:
             branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
-        cold = LpWorkspace(prob, branch)
+        cold = cold_workspace(prob, branch)
         conflict = not ws.set_branch(branch)
         if cold.solve_primal() != STATUS_OPTIMAL:
             assert ws.solve_dual() == STATUS_INFEASIBLE
@@ -379,7 +392,7 @@ def test_low_rank_inverse_stays_exact_across_folds(monkeypatch):
         )
         assert ws.set_branch(branch)
         assert ws.solve_dual() == STATUS_OPTIMAL
-        cold = LpWorkspace(prob, branch)
+        cold = cold_workspace(prob, branch)
         assert cold.solve_primal() == STATUS_OPTIMAL
         assert abs(ws.objective() - cold.objective()) <= OBJ_TOL * max(
             1.0, abs(cold.objective())
@@ -512,6 +525,42 @@ def test_refactor_matches_a_full_inverse():
     ws.basis[:2] = int(binaries[0])  # one structural column, twice
     with pytest.raises(SolverError, match="singular basis"):
         ws._refactor()
+
+
+def test_refactorization_rebuilds_the_base_in_place(monkeypatch):
+    """A product-form dive that refactorizes keeps one base array.
+
+    Every refactorization, at the root and along a warm dive on small@6,
+    writes B^-T into the workspace's own ``Bt`` rather than a new array,
+    and the rebuilt base inverts the basis.
+    """
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 5)
+    prob = build_milp(build_reference_scenario("small", 6))
+    ws = LpWorkspace(prob)
+    assert not ws.tableau
+    refactor = ws._refactor
+    rebuilt = 0
+
+    def in_place():
+        nonlocal rebuilt
+        base = ws.Bt
+        d = refactor()
+        assert ws.Bt is base
+        assert np.abs(base.T @ dense_basis(ws) - np.eye(ws.m)).max() <= 1e-8
+        rebuilt += 1
+        return d
+
+    monkeypatch.setattr(ws, "_refactor", in_place)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    binaries = list(prob.binary_indices())
+    rng = random.Random(6021)
+    branch: dict[int, tuple[float, float]] = {}
+    for _ in range(8):
+        j = int(rng.choice(binaries))
+        branch[j] = rng.choice([(0.0, 0.0), (1.0, 1.0)])
+        if not ws.set_branch(branch) or ws.solve_dual() != STATUS_OPTIMAL:
+            del branch[j]  # back out of the dead end and dive on
+    assert rebuilt >= 10
 
 
 def assert_resident_state(ws: LpWorkspace):
@@ -665,7 +714,7 @@ def test_restored_state_matches_a_rebuild():
             status = ws.solve_dual()
             seen[status] += 1
             assert_resident_state(ws)
-            cold = LpWorkspace(prob, new)
+            cold = cold_workspace(prob, new)
             assert cold.solve_primal() == status
             if status != STATUS_OPTIMAL:
                 continue
@@ -713,7 +762,7 @@ def test_penalties_bound_each_child():
                     children = (((0.0, 0.0), p_down), ((1.0, 1.0), p_up))
                     for bounds, lift in children:
                         assert lift >= 0.0
-                        cold = LpWorkspace(prob, {**branch, int(j): bounds})
+                        cold = cold_workspace(prob, {**branch, int(j): bounds})
                         verdict = cold.solve_primal()
                         if np.isinf(lift):
                             assert verdict == STATUS_INFEASIBLE
@@ -769,7 +818,7 @@ def test_tableau_agrees_with_the_product_form(monkeypatch):
                 seen["conflict"] += 1
             cutoff = None
             if step % 3 == 2 and applied:
-                if LpWorkspace(prob, branch).solve_primal() == STATUS_OPTIMAL:
+                if cold_workspace(prob, branch).solve_primal() == STATUS_OPTIMAL:
                     cutoff = tab.objective() - 1e-3
             status = tab.solve_dual(cutoff)
             assert prod.solve_dual(cutoff) == status
@@ -871,7 +920,7 @@ def test_refactorized_verdict_restarts_the_pivot_count(monkeypatch):
     assert ws.iterations > before
     assert feasible_at == [True]
     assert ws.since_refactor == 0
-    cold = LpWorkspace(prob, {j: (1.0, 1.0)})
+    cold = cold_workspace(prob, {j: (1.0, 1.0)})
     assert cold.solve_primal() == STATUS_OPTIMAL
     assert ws.objective() == pytest.approx(cold.objective(), abs=OBJ_TOL)
 
@@ -930,7 +979,7 @@ def test_cutoff_prunes_without_losing_optima():
         if ws.solve_primal() != STATUS_OPTIMAL:
             continue
         branch = {int(rng.choice(binaries)): (1.0, 1.0)}
-        cold = LpWorkspace(prob, branch)
+        cold = cold_workspace(prob, branch)
         if cold.solve_primal() != STATUS_OPTIMAL:
             continue
         child_obj = cold.objective()
