@@ -27,14 +27,13 @@ from .scenario import (
     build_reference_scenario,
     build_routes,
     load_scenario,
-    local_capacity,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
     validate_scenario,
 )
-from .simplex import LpSolution, LpWorkspace, SolverError, solve_lp
+from .simplex import LpWorkspace, SolverError
 from .sweep import SweepReport, SweepRow, compute_saving, emit_report, run_sweep, write_plot_files
 from .types import (
     VERSION,
@@ -43,7 +42,6 @@ from .types import (
     Link,
     ModelOptions,
     NodeSpec,
-    Path,
     Placement,
     PlacementError,
     Scenario,
@@ -62,14 +60,12 @@ __all__ = [
     "DerivationError",
     "InterfaceSpec",
     "Link",
-    "LpSolution",
     "LpWorkspace",
     "MilpProblem",
     "MilpSolution",
     "ModelOptions",
     "NodeSpec",
     "OracleSizeError",
-    "Path",
     "Placement",
     "PlacementError",
     "PowerParams",
@@ -95,7 +91,6 @@ __all__ = [
     "exhaustive_oracle",
     "extract_placement",
     "load_scenario",
-    "local_capacity",
     "node_power",
     "random_scenario",
     "run_sweep",
@@ -103,7 +98,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "serialize_scenario",
-    "solve_lp",
     "solve_scenario",
     "traffic_for_workload",
     "validate_scenario",

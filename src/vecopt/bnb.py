@@ -139,6 +139,7 @@ def branch_and_bound(
 
     def done(status: str, obj: float, vec: np.ndarray | None) -> MilpSolution:
         stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        stats.lp_iterations = ws.iterations
         placement = (
             Placement.empty() if vec is None else extract_placement(problem, vec)
         )
@@ -146,7 +147,6 @@ def branch_and_bound(
 
     ws = LpWorkspace(problem)
     root_status = ws.solve_primal()
-    stats.lp_iterations = ws.iterations
     stats.explored_nodes = 1
     if root_status != STATUS_OPTIMAL:
         stats.stop_reason = STATUS_INFEASIBLE
@@ -287,10 +287,8 @@ def branch_and_bound(
         ws.restore(state)
         if not ws.set_branch(branch):
             continue
-        before = ws.iterations
         cutoff = None if inc_vec is None else inc_obj - gap
         solved = ws.solve_dual(cutoff) == STATUS_OPTIMAL
-        stats.lp_iterations += ws.iterations - before
         stats.explored_nodes += 1
 
     status = STATUS_OPTIMAL
@@ -315,7 +313,6 @@ def solve_scenario(
     *,
     time_limit_s: float | None = None,
     node_limit: int | None = None,
-    absolute_gap: float = 1e-6,
 ) -> MilpSolution:
     """Build the model, seed the baseline incumbent, and solve exactly."""
     problem = build_milp(scenario)
@@ -327,7 +324,6 @@ def solve_scenario(
     return branch_and_bound(
         problem,
         BnbOptions(
-            absolute_gap=absolute_gap,
             time_limit_s=time_limit_s,
             node_limit=node_limit,
             initial_assignment=initial,

@@ -264,11 +264,6 @@ def _overloads(scenario: Scenario, loads: dict[str, float]) -> list[str]:
     return out
 
 
-def check_bandwidth(scenario: Scenario, placement: Placement) -> list[str]:
-    """Bandwidth violations of a placement, as human-readable strings."""
-    return _overloads(scenario, _traffic(scenario, placement)[0])
-
-
 def evaluate_placement(scenario: Scenario, placement: Placement) -> PowerReport:
     """Total power of a placement under the full-replication traffic rule.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from pathlib import Path as FsPath
+from pathlib import Path
 from typing import Mapping
 
 from .power import DerivationError, derive_power_params, traffic_for_workload
@@ -26,7 +26,6 @@ from .types import (
     Link,
     ModelOptions,
     NodeSpec,
-    Path,
     Scenario,
     ScenarioError,
     TIER_CLOUD,
@@ -185,15 +184,15 @@ def _compute_route(
     by_pair: Mapping[tuple[str, str], Link],
     src: NodeSpec,
     dst: NodeSpec,
-) -> Path | None:
+) -> tuple[str, ...] | None:
     if src.id == dst.id:
-        return Path(())
+        return ()
     direct = by_pair.get((src.id, dst.id))
     if src.tier == TIER_VEHICLE and dst.tier == TIER_VEHICLE:
-        return Path((direct.id,)) if direct is not None else None
+        return (direct.id,) if direct is not None else None
     if src.tier == TIER_VEHICLE:
         if direct is not None and dst.tier == TIER_EDGE:
-            return Path((direct.id,))
+            return (direct.id,)
         ap = _own_ap(nodes, by_pair, src.id)
         if ap is None or ap == dst.id:
             return None
@@ -201,25 +200,25 @@ def _compute_route(
         second = by_pair.get((ap, dst.id))
         if second is None:
             return None
-        return Path((first.id, second.id))
+        return (first.id, second.id)
     if src.tier == TIER_EDGE and dst.tier in (TIER_EDGE, TIER_CLOUD):
-        return Path((direct.id,)) if direct is not None else None
+        return (direct.id,) if direct is not None else None
     return None
 
 
 def build_routes(
     nodes: tuple[NodeSpec, ...], links: tuple[Link, ...]
-) -> dict[tuple[str, str], Path]:
+) -> dict[tuple[str, str], tuple[str, ...]]:
     """Fixed routes for every reachable ordered node pair."""
     by_pair = _link_index(links)
-    routes: dict[tuple[str, str], Path] = {}
+    routes: dict[tuple[str, str], tuple[str, ...]] = {}
     for src in nodes:
         for dst in nodes:
             if src.id == dst.id:
                 continue
-            path = _compute_route(nodes, by_pair, src, dst)
-            if path is not None:
-                routes[(src.id, dst.id)] = path
+            route = _compute_route(nodes, by_pair, src, dst)
+            if route is not None:
+                routes[(src.id, dst.id)] = route
     return routes
 
 
@@ -503,8 +502,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "links": [dataclasses.asdict(l) for l in scenario.links],
         "demands": [dataclasses.asdict(d) for d in scenario.demands],
         "routes": {
-            f"{src}->{dst}": list(path.links)
-            for (src, dst), path in sorted(scenario.routes.items())
+            f"{src}->{dst}": list(route)
+            for (src, dst), route in sorted(scenario.routes.items())
         },
     }
 
@@ -610,7 +609,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioError(
                     f"route {key}: expected a list of link ids, not {link_ids!r}"
                 )
-            routes[(src, dst)] = Path(tuple(link_ids))
+            routes[(src, dst)] = tuple(link_ids)
     scenario = Scenario(nodes, links, demands, routes, options)
     problems = validate_scenario(scenario)
     if problems:
@@ -618,10 +617,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | FsPath) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario document from disk."""
     try:
-        text = FsPath(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
@@ -631,14 +630,6 @@ def load_scenario(path: str | FsPath) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def save_scenario(scenario: Scenario, path: str | FsPath) -> None:
-    FsPath(path).write_text(serialize_scenario(scenario))
+def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    Path(path).write_text(serialize_scenario(scenario))
 
-
-def local_capacity(scenario: Scenario) -> float:
-    """Aggregate vehicle plus edge processing capacity in MIPS."""
-    return sum(
-        n.capacity_mips
-        for n in scenario.nodes
-        if n.tier in (TIER_VEHICLE, TIER_EDGE)
-    )

@@ -98,8 +98,6 @@ variables from the MILP arrive here already relaxed to their bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .milp import SENSE_EQ, SENSE_GE, MilpProblem
@@ -128,14 +126,6 @@ class SolverError(RuntimeError):
     limit) and on a model the dual cannot start from, one with a cost
     that prefers an infinite bound (a free variable always has one).
     """
-
-
-@dataclass
-class LpSolution:
-    status: str
-    objective: float
-    values: np.ndarray  # structural variables only
-    iterations: int
 
 
 def _fold_rows(
@@ -799,21 +789,3 @@ class LpWorkspace:
     def objective(self) -> float:
         return float(self.c @ self.values_extended())
 
-
-def solve_lp(problem: MilpProblem) -> LpSolution:
-    """Solve the LP relaxation of a model."""
-    ws = LpWorkspace(problem)
-    status = ws.solve_primal()
-    if status != STATUS_OPTIMAL:
-        return LpSolution(
-            status=status,
-            objective=float("nan"),
-            values=np.full(problem.sparse.c.size, np.nan),
-            iterations=ws.iterations,
-        )
-    return LpSolution(
-        status=STATUS_OPTIMAL,
-        objective=ws.objective(),
-        values=ws.values(),
-        iterations=ws.iterations,
-    )

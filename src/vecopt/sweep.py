@@ -120,10 +120,10 @@ def run_sweep(
     optimality within the budget report status ``optimal``.
     """
     options = options or ModelOptions()
-    ordered = sorted(
-        classes,
-        key=lambda c: CLASS_ORDER.index(c) if c in CLASS_ORDER else len(CLASS_ORDER),
-    )
+    for cls in classes:
+        if cls not in CLASS_ORDER:
+            build_reference_scenario(cls, 0)  # raises, before any solve
+    ordered = sorted(classes, key=CLASS_ORDER.index)
     tasks = [
         (cls, count, options, time_limit_s, node_limit)
         for cls in ordered

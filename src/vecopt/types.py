@@ -111,17 +111,6 @@ class DemandSpec:
 
 
 @dataclass(frozen=True)
-class Path:
-    """An ordered sequence of link ids from a source to a destination."""
-
-    links: tuple[str, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.links, tuple):
-            object.__setattr__(self, "links", tuple(self.links))
-
-
-@dataclass(frozen=True)
 class ModelOptions:
     """Knobs that change how a scenario is built and priced.
 
@@ -145,7 +134,8 @@ class ModelOptions:
 class Scenario:
     """A complete placement instance: topology, demands, routes, options.
 
-    Routes are keyed by ``(source_id, dest_id)``. ``build_routes`` in
+    A route is the tuple of link ids from a source to a destination,
+    keyed by ``(source_id, dest_id)``. ``build_routes`` in
     :mod:`vecopt.scenario` fills them in from the link set; loaders accept
     documents without routes and recompute them.  Everything else reads a
     route through ``hops``, which walks and checks it.
@@ -154,7 +144,7 @@ class Scenario:
     nodes: tuple[NodeSpec, ...]
     links: tuple[Link, ...]
     demands: tuple[DemandSpec, ...]
-    routes: Mapping[tuple[str, str], Path]
+    routes: Mapping[tuple[str, str], tuple[str, ...]]
     options: ModelOptions = field(default_factory=ModelOptions)
 
     def __post_init__(self):
@@ -195,14 +185,14 @@ class Scenario:
         """
         self.node(src)
         self.node(dst)
-        path = self.routes.get((src, dst))
-        if path is None:
+        route = self.routes.get((src, dst))
+        if route is None:
             if src == dst:
                 return ()
             raise ScenarioError(f"no route from {src!r} to {dst!r}")
         hops: list[Link] = []
         at, visited = src, {src}
-        for link_id in path.links:
+        for link_id in route:
             link = self._link_map.get(link_id)
             if link is None:
                 fault = f"unknown link {link_id}"

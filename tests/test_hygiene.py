@@ -1,8 +1,10 @@
-"""Source hygiene: every name a package module imports is used, only the
-LP engine asks which form of the basis inverse it holds, only the model
-builder makes model records, and only the data model walks routes."""
+"""Source hygiene: every name a package module imports is used, every
+name the package exports has a reader, only the LP engine asks which form
+of the basis inverse it holds, only the model builder makes model records,
+and only the data model walks routes."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ MODULES = sorted(
     p for p in Path(vecopt.__file__).parent.glob("*.py")
     if p.name != "__init__.py"
 )
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -63,6 +66,33 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names the module reads, as a name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_the_scan_sees_a_load():
+    source = "f(a)\nb = c.d\ne.g = 1\n"
+    assert loaded_names(source) == {"a", "c", "d", "e", "f"}
+
+
+def test_every_export_has_a_reader():
+    """A name in ``vecopt.__all__`` is read by another package module, by
+    the benchmark, the tools or the demos, or named in the README; an
+    export only the tests call is a second way in to its layer."""
+    readers = MODULES + sorted(
+        p for d in ("bench", "tools", "demos") for p in (ROOT / d).glob("*.py")
+    )
+    read = set().union(*(loaded_names(p.read_text()) for p in readers))
+    read |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert sorted(set(vecopt.__all__) - read) == []
 
 
 def attribute_reads(source: str, name: str) -> list[int]:

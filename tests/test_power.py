@@ -6,7 +6,6 @@ import pytest
 
 from vecopt.power import (
     DerivationError,
-    check_bandwidth,
     cloud_only_baseline,
     cloud_only_placement,
     derive_power_params,
@@ -192,7 +191,7 @@ def test_cloud_only_placement_is_cloud_only():
 def test_bandwidth_check_flags_overload():
     s = build_reference_scenario("small", 1)
     placement = Placement.build(s, {("d0", "v0"): 1280.0, ("d0", "v1"): 1600.0})
-    assert check_bandwidth(s, placement) == []
+    evaluate_placement(s, placement)  # within every link's capacity
     # shrink every dsrc link far below the demand's 1.44 Mbps transfer
     starved = [
         l.__class__(**{**l.__dict__, "capacity_bps": 1e3})
@@ -207,12 +206,10 @@ def test_bandwidth_check_flags_overload():
         routes=s.routes,
         options=s.options,
     )
-    overloads = check_bandwidth(s2, placement)
-    assert overloads and all(o.startswith("link ") for o in overloads)
-    # pricing runs the same test on the loads of its one route walk
+    # only v0>v1 carries the demand's traffic, to its serving node v1
     with pytest.raises(PlacementError) as raised:
         evaluate_placement(s2, placement)
-    assert str(raised.value) == "; ".join(overloads)
+    assert str(raised.value) == "link v0>v1: 1.44e+06 bps exceeds 1000"
 
 
 def test_random_placements_price_consistently():

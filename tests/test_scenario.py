@@ -21,14 +21,13 @@ from vecopt.scenario import (
     build_reference_scenario,
     cloud_pool,
     load_scenario,
-    local_capacity,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
     validate_scenario,
 )
-from vecopt.types import ModelOptions, Path, ScenarioError
+from vecopt.types import ModelOptions, ScenarioError
 
 INSTRUCTIONS_PER_BIT = 2000.0
 
@@ -47,7 +46,10 @@ def test_fleet_shape():
 
 def test_local_capacity():
     s = build_reference_scenario("medium", 3)
-    assert local_capacity(s) == 20 * 1600.0 + 4 * 3600.0 == 46400.0
+    local = sum(
+        n.capacity_mips for n in s.nodes if n.tier in ("vehicle", "edge")
+    )
+    assert local == 20 * 1600.0 + 4 * 3600.0 == 46400.0
 
 
 def test_node_ratings():
@@ -126,7 +128,7 @@ def test_routes_cover_every_demand_node_pair():
             if node.id == demand.source:
                 continue
             at = demand.source
-            for link_id in s.routes[(demand.source, node.id)].links:
+            for link_id in s.routes[(demand.source, node.id)]:
                 link = links[link_id]
                 assert link.head == at
                 at = link.tail
@@ -145,7 +147,7 @@ def test_routes_cover_every_demand_node_pair():
 def test_validation_reports_what_the_route_walker_raises(links):
     s = build_reference_scenario("small", 1)
     broken = dataclasses.replace(
-        s, routes={**s.routes, ("v0", "v1"): Path(links)}
+        s, routes={**s.routes, ("v0", "v1"): links}
     )
     with pytest.raises(ScenarioError) as walked:
         broken.hops("v0", "v1")

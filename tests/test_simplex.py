@@ -19,7 +19,6 @@ from vecopt.simplex import (
     STATUS_OPTIMAL,
     LpWorkspace,
     SolverError,
-    solve_lp,
 )
 
 OBJ_TOL = 1e-6
@@ -125,10 +124,10 @@ def test_known_tiny_lp():
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
     )
-    sol = solve_lp(prob)
-    assert sol.status == STATUS_OPTIMAL
-    assert sol.objective == pytest.approx(-1.0)
-    assert sol.values.sum() == pytest.approx(1.0)
+    ws = LpWorkspace(prob)
+    assert ws.solve_primal() == STATUS_OPTIMAL
+    assert ws.objective() == pytest.approx(-1.0)
+    assert ws.values().sum() == pytest.approx(1.0)
 
 
 def test_infeasible_row_detected():
@@ -141,7 +140,7 @@ def test_infeasible_row_detected():
         demand_ids=("d0",),
         node_ids=("n0", "n1"),
     )
-    assert solve_lp(prob).status == STATUS_INFEASIBLE
+    assert LpWorkspace(prob).solve_primal() == STATUS_INFEASIBLE
 
 
 def test_cost_toward_an_infinite_bound_is_refused():
@@ -164,17 +163,18 @@ def test_matches_reference_on_random_dense_lps():
     optimal = infeasible = 0
     for _ in range(60):
         prob = synth_problem(rng)
-        ours = solve_lp(prob)
+        ours = LpWorkspace(prob)
+        status = ours.solve_primal()
         ref = reference_solve(prob)
-        if ours.status == STATUS_OPTIMAL:
+        if status == STATUS_OPTIMAL:
             assert ref.status == 0
-            assert abs(ours.objective - ref.fun) <= OBJ_TOL * max(
+            assert abs(ours.objective() - ref.fun) <= OBJ_TOL * max(
                 1.0, abs(ref.fun)
             )
-            assert_row_feasible(prob, ours.values)
+            assert_row_feasible(prob, ours.values())
             optimal += 1
         else:
-            assert ours.status == STATUS_INFEASIBLE
+            assert status == STATUS_INFEASIBLE
             assert ref.status == 2
             infeasible += 1
     # the generator must exercise both verdicts
@@ -187,16 +187,17 @@ def test_matches_reference_on_placement_relaxations():
     solved = 0
     for _ in range(12):
         prob = build_milp(random_scenario(rng.randrange(2**31)))
-        ours = solve_lp(prob)
+        ours = LpWorkspace(prob)
+        status = ours.solve_primal()
         ref = reference_solve(prob)
-        if ours.status == STATUS_INFEASIBLE:
+        if status == STATUS_INFEASIBLE:
             # demand can genuinely exceed reachable capacity
             assert ref.status == 2
             continue
-        assert ours.status == STATUS_OPTIMAL
+        assert status == STATUS_OPTIMAL
         assert ref.status == 0
-        assert abs(ours.objective - ref.fun) <= OBJ_TOL * max(1.0, abs(ref.fun))
-        assert_row_feasible(prob, ours.values)
+        assert abs(ours.objective() - ref.fun) <= OBJ_TOL * max(1.0, abs(ref.fun))
+        assert_row_feasible(prob, ours.values())
         solved += 1
     assert solved >= 6
 

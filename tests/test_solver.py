@@ -6,15 +6,23 @@ import math
 import numpy as np
 import pytest
 
+from handmade import hand_model
 from vecopt.bnb import BnbOptions, branch_and_bound, solve_scenario
 from vecopt.check import cross_check
-from vecopt.milp import SENSE_GE, SENSE_LE, build_milp, check_assignment
+from vecopt.milp import (
+    SENSE_GE,
+    SENSE_LE,
+    RowDef,
+    VarDef,
+    build_milp,
+    check_assignment,
+)
 from vecopt.oracle import OracleSizeError, exhaustive_oracle
 from vecopt.power import evaluate_placement
 from vecopt.randgen import random_scenario
 from vecopt.scenario import build_reference_scenario, scenario_from_dict
 from vecopt.simplex import LpWorkspace
-from vecopt.types import ScenarioError
+from vecopt.types import Placement, ScenarioError
 
 VEHICLE = dict(
     tier="vehicle",
@@ -123,6 +131,35 @@ def test_infeasible_when_demand_exceeds_reachable_capacity():
     assert math.isnan(sol.objective)
 
 
+def test_search_with_no_incumbent_after_a_feasible_root_is_infeasible():
+    # The root relaxation is feasible (x = 1, y = 1/2) but no binary y is:
+    # y = 1 breaks `half`, which folds into y's bounds, so that child
+    # conflicts with them, and y = 0 leaves x no room to conserve.
+    prob = hand_model(
+        variables=(
+            VarDef("x[d0,n0]", "continuous", 0.0, 1.0, 0.0),
+            VarDef("y[d0,n0]", "binary", 0.0, 1.0, 1.0),
+            VarDef("a[n0]", "binary", 0.0, 1.0, 1.0),
+        ),
+        rows=(
+            RowDef("conserve", ((0, 1.0),), "=", 1.0),
+            RowDef("bigm", ((0, 1.0), (1, -2.0)), "<=", 0.0),
+            RowDef("half", ((1, 2.0),), "<=", 1.0),
+            RowDef("serve_active", ((1, 1.0), (2, -1.0)), "<=", 0.0),
+        ),
+        demand_ids=("d0",),
+        node_ids=("n0",),
+    )
+    sol = branch_and_bound(prob)
+    assert sol.status == "infeasible"
+    assert sol.stats.stop_reason == "infeasible"
+    assert math.isnan(sol.objective)
+    assert sol.assignment is None
+    assert sol.placement == Placement.empty()
+    assert sol.stats.gap == 0.0
+    assert sol.stats.explored_nodes == 1
+
+
 def test_identical_solves_are_identical():
     s = build_reference_scenario("medium", 2)
     a = solve_scenario(s)
@@ -227,9 +264,9 @@ def test_time_limit_flags_the_result():
 
 
 def test_wider_gap_tolerance_still_brackets_the_optimum():
-    s = build_reference_scenario("small", 2)
-    exact = solve_scenario(s)
-    loose = solve_scenario(s, absolute_gap=0.5)
+    prob = build_milp(build_reference_scenario("small", 2))
+    exact = branch_and_bound(prob)
+    loose = branch_and_bound(prob, BnbOptions(absolute_gap=0.5))
     assert loose.status == "optimal"
     assert exact.objective <= loose.objective <= exact.objective + 0.5
 

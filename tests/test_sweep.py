@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from vecopt import VERSION
+from vecopt import VERSION, sweep
+from vecopt.scenario import build_reference_scenario
 from vecopt.sweep import (
     CSV_COLUMNS,
     DEFAULT_NODE_LIMIT,
@@ -19,7 +20,7 @@ from vecopt.sweep import (
     run_sweep,
     write_plot_files,
 )
-from vecopt.types import ModelOptions
+from vecopt.types import ModelOptions, ScenarioError
 
 TINY = dict(classes=("small",), counts=(1, 2))
 
@@ -131,6 +132,18 @@ def test_default_budget_is_machine_independent():
 def test_class_order_is_canonical():
     report = run_sweep(classes=("medium", "small"), counts=(1,))
     assert [r.demand_class for r in report.rows] == ["small", "medium"]
+
+
+def test_unknown_class_is_rejected_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point before rejecting the class")
+
+    monkeypatch.setattr(sweep, "solve_scenario", no_solve)
+    with pytest.raises(ScenarioError) as raised:
+        run_sweep(classes=("large", "huge"), counts=(1, 2))
+    with pytest.raises(ScenarioError) as built:
+        build_reference_scenario("huge", 1)
+    assert str(raised.value) == str(built.value)
 
 
 def test_options_flow_into_rows():
